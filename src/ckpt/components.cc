@@ -1,9 +1,9 @@
 /**
  * @file
- * Checkpoint save/load definitions for the header-only components
- * (Lsu, ResourceTable, ConfigTable, LaneMgr).  Grouping them in one
+ * Checkpoint io bodies for the header-only components (Lsu,
+ * ResourceTable, ConfigTable, LaneMgr).  Grouping them in one
  * translation unit keeps those headers free of the serialization
- * machinery; classes with their own .cc file define the hooks there.
+ * machinery; classes with their own .cc file define io there.
  */
 
 #include "ckpt/ckpt.hh"
@@ -14,139 +14,64 @@
 namespace occamy
 {
 
-namespace
+template <class Ar>
+[[gnu::cold]] void
+Lsu::io(Ar &ar)
 {
-
-/** Serialize a Cycle min-heap as its ascending drain order. */
-void
-saveHeap(ckpt::Writer &w,
-         std::priority_queue<Cycle, std::vector<Cycle>,
-                             std::greater<Cycle>> heap)
-{
-    w.u64(heap.size());
-    while (!heap.empty()) {
-        w.u64(heap.top());
-        heap.pop();
-    }
+    ar.section("lsu");
+    ckpt::heap(ar, lq_);
+    ckpt::heap(ar, sq_);
+    if constexpr (Ar::kLoading)
+        ckpt::Reader::check(lq_.size() <= lq_capacity_ &&
+                                sq_.size() <= sq_capacity_,
+                            "checkpoint LSU occupancy exceeds queue capacity");
+    ar.u64(loads_);
+    ar.u64(stores_);
 }
+OCCAMY_CKPT_IO(Lsu);
 
-void
-loadHeap(ckpt::Reader &r,
-         std::priority_queue<Cycle, std::vector<Cycle>,
-                             std::greater<Cycle>> &heap)
+template <class Ar>
+[[gnu::cold]] void
+ResourceTable::io(Ar &ar)
 {
-    heap = {};
-    const std::size_t n = r.arr();
-    for (std::size_t i = 0; i < n; ++i)
-        heap.push(r.u64());
-}
-
-} // namespace
-
-// ------------------------------------------------------------------ Lsu
-
-void
-Lsu::save(ckpt::Writer &w) const
-{
-    w.section("lsu");
-    saveHeap(w, lq_);
-    saveHeap(w, sq_);
-    w.u64(loads_.value());
-    w.u64(stores_.value());
-}
-
-void
-Lsu::load(ckpt::Reader &r)
-{
-    r.expectSection("lsu");
-    loadHeap(r, lq_);
-    loadHeap(r, sq_);
-    ckpt::Reader::check(lq_.size() <= lq_capacity_ &&
-                            sq_.size() <= sq_capacity_,
-                        "checkpoint LSU occupancy exceeds queue capacity");
-    loads_.set(r.u64());
-    stores_.set(r.u64());
-}
-
-// -------------------------------------------------------- ResourceTable
-
-void
-ResourceTable::save(ckpt::Writer &w) const
-{
-    w.section("rt");
-    w.u64(core_.size());
-    for (const PerCore &pc : core_) {
-        w.f64(pc.oi.issue);
-        w.f64(pc.oi.mem);
-        w.u8(static_cast<std::uint8_t>(pc.oi.level));
-        w.u32(pc.decision);
-        w.u32(pc.vl);
-        w.b(pc.status);
-    }
-    w.u32(al_);
-    w.u32(total_);
-    w.u32(faulted_);
-}
-
-void
-ResourceTable::load(ckpt::Reader &r)
-{
-    r.expectSection("rt");
-    ckpt::Reader::check(r.arr() == core_.size(),
-                        "checkpoint resource table core count mismatch");
+    ar.section("rt");
+    ar.len(core_.size(), "checkpoint resource table core count mismatch");
     for (PerCore &pc : core_) {
-        pc.oi.issue = r.f64();
-        pc.oi.mem = r.f64();
-        pc.oi.level = static_cast<MemLevel>(r.u8());
-        pc.decision = r.u32();
-        pc.vl = r.u32();
-        pc.status = r.b();
+        pc.oi.io(ar);
+        ar.u32(pc.decision);
+        ar.u32(pc.vl);
+        ar.b(pc.status);
     }
-    al_ = r.u32();
-    ckpt::Reader::check(r.u32() == total_,
-                        "checkpoint resource table ExeBU count mismatch");
-    faulted_ = r.u32();
+    ar.u32(al_);
+    std::uint32_t total = total_;
+    ar.u32(total);
+    if constexpr (Ar::kLoading)
+        ckpt::Reader::check(total == total_,
+                            "checkpoint resource table ExeBU count mismatch");
+    ar.u32(faulted_);
 }
+OCCAMY_CKPT_IO(ResourceTable);
 
-// ---------------------------------------------------------- ConfigTable
-
-void
-ConfigTable::save(ckpt::Writer &w) const
+template <class Ar>
+[[gnu::cold]] void
+ConfigTable::io(Ar &ar)
 {
-    w.section("cfgtbl");
-    w.u64(owner_.size());
-    for (CoreId o : owner_)
-        w.u16(static_cast<std::uint16_t>(o));
-}
-
-void
-ConfigTable::load(ckpt::Reader &r)
-{
-    r.expectSection("cfgtbl");
-    ckpt::Reader::check(r.arr() == owner_.size(),
-                        "checkpoint config table size mismatch");
+    ar.section("cfgtbl");
+    ar.len(owner_.size(), "checkpoint config table size mismatch");
     for (CoreId &o : owner_)
-        o = static_cast<CoreId>(r.u16());
+        ar.u16(o);
 }
+OCCAMY_CKPT_IO(ConfigTable);
 
-// -------------------------------------------------------------- LaneMgr
-
-void
-LaneMgr::save(ckpt::Writer &w) const
+template <class Ar>
+[[gnu::cold]] void
+LaneMgr::io(Ar &ar)
 {
-    w.section("lanemgr");
-    w.u64(plan_ready_at_);
-    w.u32(total_bus_);
-    w.u64(plans_made_.value());
+    ar.section("lanemgr");
+    ar.u64(plan_ready_at_);
+    ar.u32(total_bus_);
+    ar.u64(plans_made_);
 }
-
-void
-LaneMgr::load(ckpt::Reader &r)
-{
-    r.expectSection("lanemgr");
-    plan_ready_at_ = r.u64();
-    total_bus_ = r.u32();
-    plans_made_.set(r.u64());
-}
+OCCAMY_CKPT_IO(LaneMgr);
 
 } // namespace occamy

@@ -826,183 +826,89 @@ CoProcessor::regStats(stats::Group &group) const
 namespace
 {
 
+template <class Ar>
 void
-saveInst(occamy::ckpt::Writer &w, const occamy::DynInst &d)
+instIo(Ar &ar, DynInst &d)
 {
-    w.u16(static_cast<std::uint16_t>(d.op));
-    w.u16(static_cast<std::uint16_t>(d.core));
-    w.u64(d.seq);
-    w.u16(d.phaseId);
-    w.i64(d.dstArch);
-    for (std::int16_t a : d.srcArch)
-        w.i64(a);
-    w.u8(d.nsrc);
-    w.u16(d.vlBus);
-    w.u16(d.activeLanes);
-    w.u16(d.activeElems);
-    w.u64(d.addr);
-    w.u32(d.bytes);
-    w.i64(d.stride);
-    w.u8(d.elemBytes);
-    w.f64(d.oi.issue);
-    w.f64(d.oi.mem);
-    w.u8(static_cast<std::uint8_t>(d.oi.level));
-    w.u32(d.imm);
-    w.b(d.vlFromDecision);
-    w.i64(d.dstPhys);
-    w.i64(d.prevPhys);
-    for (std::int32_t p : d.srcPhys)
-        w.i64(p);
-    w.u64(d.enqueueCycle);
-    w.u64(d.readyCycle);
-    w.b(d.issued);
-    w.b(d.completed);
-}
-
-occamy::DynInst
-loadInst(occamy::ckpt::Reader &r)
-{
-    occamy::DynInst d;
-    d.op = static_cast<occamy::Opcode>(r.u16());
-    d.core = static_cast<occamy::CoreId>(r.u16());
-    d.seq = r.u64();
-    d.phaseId = r.u16();
-    d.dstArch = static_cast<std::int16_t>(r.i64());
+    ar.u16(d.op);
+    ar.u16(d.core);
+    ar.u64(d.seq);
+    ar.u16(d.phaseId);
+    ar.i64(d.dstArch);
     for (std::int16_t &a : d.srcArch)
-        a = static_cast<std::int16_t>(r.i64());
-    d.nsrc = r.u8();
-    d.vlBus = r.u16();
-    d.activeLanes = r.u16();
-    d.activeElems = r.u16();
-    d.addr = r.u64();
-    d.bytes = r.u32();
-    d.stride = static_cast<std::int32_t>(r.i64());
-    d.elemBytes = r.u8();
-    d.oi.issue = r.f64();
-    d.oi.mem = r.f64();
-    d.oi.level = static_cast<occamy::MemLevel>(r.u8());
-    d.imm = r.u32();
-    d.vlFromDecision = r.b();
-    d.dstPhys = static_cast<std::int32_t>(r.i64());
-    d.prevPhys = static_cast<std::int32_t>(r.i64());
-    for (std::int32_t &sp : d.srcPhys)
-        sp = static_cast<std::int32_t>(r.i64());
-    d.enqueueCycle = r.u64();
-    d.readyCycle = r.u64();
-    d.issued = r.b();
-    d.completed = r.b();
-    return d;
+        ar.i64(a);
+    ar.u8(d.nsrc);
+    ar.u16(d.vlBus);
+    ar.u16(d.activeLanes);
+    ar.u16(d.activeElems);
+    ar.u64(d.addr);
+    ar.u32(d.bytes);
+    ar.i64(d.stride);
+    ar.u8(d.elemBytes);
+    d.oi.io(ar);
+    ar.u32(d.imm);
+    ar.b(d.vlFromDecision);
+    ar.i64(d.dstPhys);
+    ar.i64(d.prevPhys);
+    for (std::int32_t &p : d.srcPhys)
+        ar.i64(p);
+    ar.u64(d.enqueueCycle);
+    ar.u64(d.readyCycle);
+    ar.b(d.issued);
+    ar.b(d.completed);
 }
 
+/** A bounded pipeline queue; a stored length beyond the configured
+ *  capacity is rejected before any element is read. */
+template <class Ar>
 void
-saveInstSeq(occamy::ckpt::Writer &w, const occamy::InstRing &seq)
+instSeqIo(Ar &ar, InstRing &seq)
 {
-    w.u64(seq.size());
-    for (const occamy::DynInst &d : seq)
-        saveInst(w, d);
-}
-
-void
-loadInstSeq(occamy::ckpt::Reader &r, occamy::InstRing &seq)
-{
-    seq.clear();
-    const std::size_t n = r.arr();
-    occamy::ckpt::Reader::check(
-        n <= seq.capacity(),
-        "checkpoint instruction queue exceeds its configured capacity");
-    for (std::size_t i = 0; i < n; ++i)
-        seq.push_back(loadInst(r));
+    ar.seq(seq, [&](DynInst &d) { instIo(ar, d); }, seq.capacity());
 }
 
 } // namespace
 
-void
-CoProcessor::save(ckpt::Writer &w) const
+template <class Ar>
+[[gnu::cold]] void
+CoProcessor::io(Ar &ar)
 {
-    w.section("coproc");
-    rt_.save(w);
-    dispatch_cfg_.save(w);
-    regfile_cfg_.save(w);
-    regfile_.save(w);
-    lane_mgr_.save(w);
+    ar.section("coproc");
+    rt_.io(ar);
+    dispatch_cfg_.io(ar);
+    regfile_cfg_.io(ar);
+    regfile_.io(ar);
+    lane_mgr_.io(ar);
 
-    w.u64(cores_.size());
-    for (const CoreState &cs : cores_) {
-        saveInstSeq(w, cs.pool);
-        saveInstSeq(w, cs.rob);
-        w.u64(cs.robBase);
-        w.u64(cs.iq.size());
-        for (SeqNum s : cs.iq)
-            w.u64(s);
-        cs.lsu.save(w);
-        saveInstSeq(w, cs.emq);
-        w.b(cs.vlReq.resolved);
-        w.b(cs.vlReq.ok);
-        w.u64(cs.cfgDelayUntil);
-        w.u64(cs.computeIssued);
-        w.u64(cs.memIssued);
-        w.u64(cs.phaseCompute.size());
-        for (std::uint64_t v : cs.phaseCompute)
-            w.u64(v);
-        w.u64(cs.regStallCycles);
-        w.u64(cs.otherStallCycles);
-    }
-
-    w.u64(busy_lanes_.size());
-    for (unsigned b : busy_lanes_)
-        w.u32(b);
-    w.u32(rr_start_);
-
-    w.u64(vl_switches_.value());
-    w.u64(em_insts_.value());
-    w.u64(plans_published_.value());
-    w.u64(lane_faults_.value());
-}
-
-void
-CoProcessor::load(ckpt::Reader &r)
-{
-    r.expectSection("coproc");
-    rt_.load(r);
-    dispatch_cfg_.load(r);
-    regfile_cfg_.load(r);
-    regfile_.load(r);
-    lane_mgr_.load(r);
-
-    ckpt::Reader::check(r.arr() == cores_.size(),
-                        "checkpoint co-processor core count mismatch");
+    ar.len(cores_.size(), "checkpoint co-processor core count mismatch");
     for (CoreState &cs : cores_) {
-        loadInstSeq(r, cs.pool);
-        loadInstSeq(r, cs.rob);
-        cs.robBase = r.u64();
-        cs.iq.resize(r.arr());
-        for (SeqNum &s : cs.iq)
-            s = r.u64();
-        cs.lsu.load(r);
-        loadInstSeq(r, cs.emq);
-        cs.vlReq.resolved = r.b();
-        cs.vlReq.ok = r.b();
-        cs.cfgDelayUntil = r.u64();
-        cs.computeIssued = r.u64();
-        cs.memIssued = r.u64();
-        cs.phaseCompute.resize(r.arr());
-        for (std::uint64_t &v : cs.phaseCompute)
-            v = r.u64();
-        cs.regStallCycles = r.u64();
-        cs.otherStallCycles = r.u64();
+        instSeqIo(ar, cs.pool);
+        instSeqIo(ar, cs.rob);
+        ar.u64(cs.robBase);
+        ar.seq(cs.iq, [&](SeqNum &s) { ar.u64(s); });
+        cs.lsu.io(ar);
+        instSeqIo(ar, cs.emq);
+        ar.b(cs.vlReq.resolved);
+        ar.b(cs.vlReq.ok);
+        ar.u64(cs.cfgDelayUntil);
+        ar.u64(cs.computeIssued);
+        ar.u64(cs.memIssued);
+        ar.seq(cs.phaseCompute, [&](std::uint64_t &v) { ar.u64(v); });
+        ar.u64(cs.regStallCycles);
+        ar.u64(cs.otherStallCycles);
     }
 
-    ckpt::Reader::check(r.arr() == busy_lanes_.size(),
-                        "checkpoint busy-lane vector size mismatch");
+    ar.len(busy_lanes_.size(), "checkpoint busy-lane vector size mismatch");
     for (unsigned &b : busy_lanes_)
-        b = r.u32();
-    rr_start_ = r.u32();
+        ar.u32(b);
+    ar.u32(rr_start_);
 
-    vl_switches_.set(r.u64());
-    em_insts_.set(r.u64());
-    plans_published_.set(r.u64());
-    lane_faults_.set(r.u64());
+    ar.u64(vl_switches_);
+    ar.u64(em_insts_);
+    ar.u64(plans_published_);
+    ar.u64(lane_faults_);
 }
+OCCAMY_CKPT_IO(CoProcessor);
 
 void
 CoProcessor::printState(std::ostream &os, const std::string &what) const

@@ -159,10 +159,9 @@ class CoProcessor
 
     const MachineConfig &config() const { return cfg_; }
 
-    /** Checkpoint hooks: tables, regfile, lane manager, and every
+    /** Checkpoint state: tables, regfile, lane manager, and every
      *  per-core pipeline structure (pool/ROB/IQ/LSU/EMQ). */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
     /** One-line-per-fact state dump for live inspection. @p what
      *  selects a sub-component: "" (summary), "rt", "lanemgr",

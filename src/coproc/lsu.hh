@@ -10,7 +10,6 @@
 #include <queue>
 #include <vector>
 
-#include "ckpt/fwd.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -115,10 +114,10 @@ class Lsu
     std::uint64_t loadsIssued() const { return loads_.value(); }
     std::uint64_t storesIssued() const { return stores_.value(); }
 
-    /** Checkpoint hooks (src/ckpt/components.cc): queue contents are
-     *  serialized as drained min-heap copies, i.e. ascending. */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    /** Checkpoint state, one body for save and restore
+     *  (src/ckpt/components.cc): queue contents travel as drained
+     *  min-heap copies, i.e. ascending. */
+    template <class Ar> void io(Ar &ar);
 
   private:
     using MinHeap = std::priority_queue<Cycle, std::vector<Cycle>,

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/fwd.hh"
 #include "common/config.hh"
 #include "common/types.hh"
 
@@ -69,10 +68,9 @@ class RegFileModel
     /** True when the file is one shared full-width pool (FTS). */
     bool shared() const { return shared_; }
 
-    /** Checkpoint hooks. Freelists are order-sensitive (alloc pops
+    /** Checkpoint state. Freelists are order-sensitive (alloc pops
      *  from the back), so they round-trip verbatim, not sorted. */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     bool shared_;

@@ -12,7 +12,6 @@
 #include <cassert>
 #include <vector>
 
-#include "ckpt/fwd.hh"
 #include "common/types.hh"
 #include "isa/inst.hh"
 
@@ -96,9 +95,8 @@ class ResourceTable
         return ois;
     }
 
-    /** Checkpoint hooks (src/ckpt/components.cc). */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    /** Checkpoint state (src/ckpt/components.cc). */
+    template <class Ar> void io(Ar &ar);
 
   private:
     std::vector<PerCore> core_;
@@ -165,9 +163,8 @@ class ConfigTable
         return true;
     }
 
-    /** Checkpoint hooks (src/ckpt/components.cc). */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    /** Checkpoint state (src/ckpt/components.cc). */
+    template <class Ar> void io(Ar &ar);
 
   private:
     std::vector<CoreId> owner_;

@@ -116,14 +116,13 @@ class ScalarCore
     /**
      * Checkpoint restore only: install the program pointer *without*
      * setProgram's fresh-start resets (phase-id rebasing, state/index
-     * clears) — load() overwrites every one of those fields with the
+     * clears) — io() overwrites every one of those fields with the
      * checkpointed values right after.
      */
     void restoreProgram(const Program *prog) { prog_ = prog; }
 
-    /** Checkpoint hooks: the full software-protocol state machine. */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    /** Checkpoint state: the full software-protocol state machine. */
+    template <class Ar> void io(Ar &ar);
 
     /** One-line-per-fact state dump for live inspection. */
     void printState(std::ostream &os) const;

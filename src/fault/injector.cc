@@ -142,34 +142,21 @@ FaultInjector::emitBoundaryEvents(Cycle now, obs::EventSink *sink)
     }
 }
 
-void
-FaultInjector::save(ckpt::Writer &w) const
+template <class Ar>
+[[gnu::cold]] void
+FaultInjector::io(Ar &ar)
 {
-    w.section("injector");
-    w.u64(lane_events_.size());
-    for (const LaneEvent &e : lane_events_)
-        w.b(e.fired);
-    w.u64(windows_.size());
-    for (const Window &win : windows_) {
-        w.b(win.beginEmitted);
-        w.b(win.endEmitted);
-    }
-}
-
-void
-FaultInjector::load(ckpt::Reader &r)
-{
-    r.expectSection("injector");
-    ckpt::Reader::check(r.arr() == lane_events_.size(),
-                        "checkpoint fault plan mismatch (lane events)");
+    ar.section("injector");
+    ar.len(lane_events_.size(),
+           "checkpoint fault plan mismatch (lane events)");
     for (LaneEvent &e : lane_events_)
-        e.fired = r.b();
-    ckpt::Reader::check(r.arr() == windows_.size(),
-                        "checkpoint fault plan mismatch (windows)");
+        ar.b(e.fired);
+    ar.len(windows_.size(), "checkpoint fault plan mismatch (windows)");
     for (Window &win : windows_) {
-        win.beginEmitted = r.b();
-        win.endEmitted = r.b();
+        ar.b(win.beginEmitted);
+        ar.b(win.endEmitted);
     }
 }
+OCCAMY_CKPT_IO(FaultInjector);
 
 } // namespace occamy::fault

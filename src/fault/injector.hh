@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/fwd.hh"
 #include "common/types.hh"
 #include "fault/fault.hh"
 
@@ -76,11 +75,10 @@ class FaultInjector
      */
     void emitBoundaryEvents(Cycle now, obs::EventSink *sink);
 
-    /** Checkpoint hooks: only the consumable flags (fired lane faults,
+    /** Checkpoint state: only the consumable flags (fired lane faults,
      *  emitted window boundaries) — the plan itself is reconstructed
      *  from the run options and cross-checked by the fingerprint. */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     struct LaneEvent

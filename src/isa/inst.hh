@@ -44,6 +44,15 @@ struct PhaseOI
     MemLevel level = MemLevel::Dram;   ///< Bandwidth ceiling that applies.
 
     bool active() const { return mem > 0.0; }
+
+    /** Checkpoint fields (DESIGN.md §11). */
+    template <class Ar>
+    void io(Ar &ar)
+    {
+        ar.f64(issue);
+        ar.f64(mem);
+        ar.u8(level);
+    }
 };
 
 /** A static (compile-time) instruction. */

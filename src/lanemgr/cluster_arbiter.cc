@@ -111,34 +111,21 @@ ClusterArbiter::avgShare(unsigned cluster, Cycle end_cycle) const
            static_cast<double>(end_cycle);
 }
 
-void
-ClusterArbiter::save(ckpt::Writer &w) const
+template <class Ar>
+[[gnu::cold]] void
+ClusterArbiter::io(Ar &ar)
 {
-    w.u64(rebalances_);
-    w.u64(migrations_);
-    w.u64(last_update_);
+    ar.u64(rebalances_);
+    ar.u64(migrations_);
+    ar.u64(last_update_);
     for (unsigned k = 0; k < nclusters_; ++k) {
-        w.u32(shares_[k]);
-        w.u64(last_bytes_[k]);
-        w.u64(share_integral_[k]);
-        w.u64(migrated_in_[k]);
-        w.u64(migrated_out_[k]);
+        ar.u32(shares_[k]);
+        ar.u64(last_bytes_[k]);
+        ar.u64(share_integral_[k]);
+        ar.u64(migrated_in_[k]);
+        ar.u64(migrated_out_[k]);
     }
 }
-
-void
-ClusterArbiter::load(ckpt::Reader &r)
-{
-    rebalances_ = r.u64();
-    migrations_ = r.u64();
-    last_update_ = r.u64();
-    for (unsigned k = 0; k < nclusters_; ++k) {
-        shares_[k] = r.u32();
-        last_bytes_[k] = r.u64();
-        share_integral_[k] = r.u64();
-        migrated_in_[k] = r.u64();
-        migrated_out_[k] = r.u64();
-    }
-}
+OCCAMY_CKPT_IO(ClusterArbiter);
 
 } // namespace occamy

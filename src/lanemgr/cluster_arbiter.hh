@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/fwd.hh"
 #include "common/types.hh"
 
 namespace occamy
@@ -83,10 +82,9 @@ class ClusterArbiter
      */
     double avgShare(unsigned cluster, Cycle end_cycle) const;
 
-    /** Checkpoint hooks: grants, window baselines, share integrals and
+    /** Checkpoint state: grants, window baselines, share integrals and
      *  the migration/rebalance counters. */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     unsigned nclusters_;

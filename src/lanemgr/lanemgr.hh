@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "ckpt/fwd.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "lanemgr/partitioner.hh"
@@ -87,10 +86,9 @@ class LaneMgr
     const RooflineParams &params() const { return params_; }
     unsigned totalBus() const { return total_bus_; }
 
-    /** Checkpoint hooks (src/ckpt/components.cc): pending-plan timer,
+    /** Checkpoint state (src/ckpt/components.cc): pending-plan timer,
      *  fault-degraded pool size and the plan counter. */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     /** Trace one published plan: per active core a roofline

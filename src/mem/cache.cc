@@ -105,40 +105,25 @@ Cache::regStats(stats::Group &group) const
     }, "miss fraction");
 }
 
-void
-Cache::save(ckpt::Writer &w) const
+template <class Ar>
+[[gnu::cold]] void
+Cache::io(Ar &ar)
 {
-    w.section(("cache." + name_).c_str());
-    w.u64(stamp_);
-    w.u64(ways_.size());
-    for (const Way &way : ways_) {
-        w.u64(way.tag);
-        w.b(way.valid);
-        w.b(way.dirty);
-        w.u64(way.lruStamp);
-    }
-    w.u64(hits_.value());
-    w.u64(misses_.value());
-    w.u64(writebacks_.value());
-}
-
-void
-Cache::load(ckpt::Reader &r)
-{
-    r.expectSection(("cache." + name_).c_str());
-    stamp_ = r.u64();
-    ckpt::Reader::check(r.arr() == ways_.size(),
-                        "checkpoint cache geometry mismatch (" + name_ + ")");
+    ar.section("cache." + name_);
+    ar.u64(stamp_);
+    ar.len(ways_.size(),
+           "checkpoint cache geometry mismatch (" + name_ + ")");
     for (Way &way : ways_) {
-        way.tag = r.u64();
-        way.valid = r.b();
-        way.dirty = r.b();
-        way.lruStamp = r.u64();
+        ar.u64(way.tag);
+        ar.b(way.valid);
+        ar.b(way.dirty);
+        ar.u64(way.lruStamp);
     }
-    hits_.set(r.u64());
-    misses_.set(r.u64());
-    writebacks_.set(r.u64());
+    ar.u64(hits_);
+    ar.u64(misses_);
+    ar.u64(writebacks_);
 }
+OCCAMY_CKPT_IO(Cache);
 
 void
 Cache::printState(std::ostream &os) const

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/fwd.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -71,9 +70,8 @@ class Cache
     /** Register this cache's counters with a stats group. */
     void regStats(stats::Group &group) const;
 
-    /** Checkpoint hooks: tag array, LRU clock and counters. */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    /** Checkpoint state: tag array, LRU clock and counters. */
+    template <class Ar> void io(Ar &ar);
 
     /** One-line-per-fact state dump for live inspection. */
     void printState(std::ostream &os) const;

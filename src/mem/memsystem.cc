@@ -272,87 +272,55 @@ MemSystem::regStats(stats::Group &group) const
                      "stream-prefetched lines");
 }
 
-void
-MemSystem::save(ckpt::Writer &w) const
+namespace
 {
-    w.section("mem");
-    w.f64(vec_busy_until_);
-    w.u64(l2_busy_until_);
-    w.u64(dram_busy_until_);
 
-    // Sorted copies of the hash maps keep the byte stream deterministic.
-    std::vector<std::pair<Addr, Cycle>> ready(line_ready_.begin(),
-                                              line_ready_.end());
-    std::sort(ready.begin(), ready.end());
-    w.u64(ready.size());
-    for (const auto &[line, at] : ready) {
-        w.u64(line);
-        w.u64(at);
+/** A hash map travels key-sorted so the byte stream is deterministic;
+ *  restore re-inserts in that order. */
+template <class Ar, class Map>
+void
+sortedMapIo(Ar &ar, Map &m)
+{
+    std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>>
+        kv;
+    if constexpr (!Ar::kLoading) {
+        kv.assign(m.begin(), m.end());
+        std::sort(kv.begin(), kv.end());
     }
-
-    // Drain a copy of the min-heap: pops come out already sorted.
-    auto fills = pending_fills_;
-    w.u64(fills.size());
-    while (!fills.empty()) {
-        w.u64(fills.top());
-        fills.pop();
+    ar.seq(kv, [&](auto &e) {
+        ar.u64(e.first);
+        ar.u64(e.second);
+    });
+    if constexpr (Ar::kLoading) {
+        m.clear();
+        for (const auto &[k, v] : kv)
+            m.emplace(k, v);
     }
-
-    std::vector<std::pair<Addr, Addr>> fr(frontier_.begin(),
-                                          frontier_.end());
-    std::sort(fr.begin(), fr.end());
-    w.u64(fr.size());
-    for (const auto &[region, line] : fr) {
-        w.u64(region);
-        w.u64(line);
-    }
-
-    w.u64(dram_reads_.value());
-    w.u64(dram_bytes_.value());
-    w.u64(accesses_.value());
-    w.u64(prefetches_.value());
-
-    vec_cache_.save(w);
-    l2_.save(w);
 }
 
-void
-MemSystem::load(ckpt::Reader &r)
+} // namespace
+
+template <class Ar>
+[[gnu::cold]] void
+MemSystem::io(Ar &ar)
 {
-    r.expectSection("mem");
-    vec_busy_until_ = r.f64();
-    l2_busy_until_ = r.u64();
-    dram_busy_until_ = r.u64();
+    ar.section("mem");
+    ar.f64(vec_busy_until_);
+    ar.u64(l2_busy_until_);
+    ar.u64(dram_busy_until_);
+    sortedMapIo(ar, line_ready_);
+    ckpt::heap(ar, pending_fills_);
+    sortedMapIo(ar, frontier_);
 
-    line_ready_.clear();
-    const std::size_t nready = r.arr();
-    for (std::size_t i = 0; i < nready; ++i) {
-        const Addr line = r.u64();
-        const Cycle at = r.u64();
-        line_ready_.emplace(line, at);
-    }
+    ar.u64(dram_reads_);
+    ar.u64(dram_bytes_);
+    ar.u64(accesses_);
+    ar.u64(prefetches_);
 
-    pending_fills_ = {};
-    const std::size_t nfills = r.arr();
-    for (std::size_t i = 0; i < nfills; ++i)
-        pending_fills_.push(r.u64());
-
-    frontier_.clear();
-    const std::size_t nfr = r.arr();
-    for (std::size_t i = 0; i < nfr; ++i) {
-        const Addr region = r.u64();
-        const Addr line = r.u64();
-        frontier_.emplace(region, line);
-    }
-
-    dram_reads_.set(r.u64());
-    dram_bytes_.set(r.u64());
-    accesses_.set(r.u64());
-    prefetches_.set(r.u64());
-
-    vec_cache_.load(r);
-    l2_.load(r);
+    vec_cache_.io(ar);
+    l2_.io(ar);
 }
+OCCAMY_CKPT_IO(MemSystem);
 
 void
 MemSystem::printState(std::ostream &os) const

@@ -106,11 +106,10 @@ class MemSystem
 
     void regStats(stats::Group &group) const;
 
-    /** Checkpoint hooks: busy pointers, MSHRs, prefetch frontiers,
+    /** Checkpoint state: busy pointers, MSHRs, prefetch frontiers,
      *  counters and both cache levels. Unordered containers are
      *  serialized key-sorted so the byte stream is deterministic. */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
     /** One-line-per-fact state dump for live inspection. */
     void printState(std::ostream &os) const;

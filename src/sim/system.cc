@@ -226,7 +226,7 @@ System::enqueueArrival(const traffic::Arrival &a)
 
 const Program *
 System::compileAndBind(Ctx &x, CoreId c, const std::string &name,
-                       const std::vector<kir::Loop> &loops)
+                       const std::vector<kir::Loop> &loops) const
 {
     // Compile a workload for a core and bind its arrays into a private,
     // staggered address region (distinct cache-set alignment per slot).
@@ -1633,136 +1633,153 @@ System::fingerprint(const Ctx &x) const
     return h;
 }
 
-void
-System::saveCheckpoint(std::ostream &os) const
+// Every checkpoint io body is [[gnu::cold]]: it runs once per save or
+// restore, and keeping it out of line with the per-cycle code keeps
+// the simulator's hot paths laid out as they would be without it.
+template <class Ar>
+[[gnu::cold]] void
+System::io(Ar &ar, Ctx &x, std::vector<std::string> &interned) const
 {
-    if (!ctx_)
-        throw std::logic_error("System::saveCheckpoint: boot() first");
-    const Ctx &x = *ctx_;
-    ckpt::Writer w(os);
+    constexpr bool kLoad = Ar::kLoading;
+    using ckpt::Reader;
 
-    w.section("meta");
-    w.u64(fingerprint(x));
-    w.u64(x.now);
+    ar.section("meta");
+    const std::uint64_t fp = fingerprint(x);
+    std::uint64_t saved_fp = fp;
+    ar.u64(saved_fp);
+    if constexpr (kLoad)
+        Reader::check(saved_fp == fp,
+                      "checkpoint fingerprint mismatch: the file was "
+                      "written by a system with a different configuration, "
+                      "workload set, or determinism-relevant run options");
+    ar.u64(x.now);
 
-    w.section("engine");
-    w.u64(x.last_finish);
-    w.b(x.complete);
-    w.b(x.result.wallKilled);
-    w.u64(x.ff.cyclesSimulated);
-    w.u64(x.ff.cyclesTicked);
-    w.u64(x.ff.cyclesSkipped);
-    w.u64(x.ff.spans);
-    w.u64(x.ff.longestSpan);
-    w.u64(x.watchdog_trips);
+    ar.section("engine");
+    ar.u64(x.last_finish);
+    ar.b(x.complete);
+    ar.b(x.result.wallKilled);
+    ar.u64(x.ff.cyclesSimulated);
+    ar.u64(x.ff.cyclesTicked);
+    ar.u64(x.ff.cyclesSkipped);
+    ar.u64(x.ff.spans);
+    ar.u64(x.ff.longestSpan);
+    ar.u64(x.watchdog_trips);
     // The flat busy-integral slot stays a single f64 (the frozen byte
     // layout): the cluster-id-order sum of the per-engine shares. On a
-    // flat machine that sum IS engine 0's accumulator, bit for bit; on
-    // clustered machines the per-engine shares needed to resume follow
-    // in the "cluster" section below.
-    {
-        double busy_integral = 0.0;
+    // flat machine that sum IS engine 0's accumulator, bit for bit, so
+    // restore parks it there; clustered machines overwrite every
+    // engine from the per-engine shares in the "cluster" section.
+    double busy_integral = 0.0;
+    if constexpr (!kLoad)
         for (const auto &eng : x.engines)
             busy_integral += eng->busyIntegral();
-        w.f64(busy_integral);
-    }
+    ar.f64(busy_integral);
+    if constexpr (kLoad)
+        x.engines[0]->setBusyIntegral(busy_integral);
 
-    // Program bookkeeping: the queue-dispatch compile log replays the
-    // exact compile order on restore.
-    w.u32(x.region);
-    w.u64(x.compile_log.size());
-    for (const auto &[core, q] : x.compile_log) {
-        w.u16(static_cast<std::uint16_t>(core));
-        w.u64(q);
+    // Program bookkeeping: the queue-dispatch compile log, replayed on
+    // restore — deterministic compilation reproduces byte-identical
+    // programs and array bindings.
+    unsigned saved_region = x.region;
+    ar.u32(saved_region);
+    ar.seq(x.compile_log, [&](std::pair<CoreId, std::uint64_t> &e) {
+        ar.u16(e.first);
+        ar.u64(e.second);
+        if constexpr (kLoad) {
+            Reader::check(e.first < x.cfg.numCores,
+                          "checkpoint compile log references a core "
+                          "this system lacks");
+            Reader::check(e.second < queue_.size(),
+                          "checkpoint compile log references a queue "
+                          "entry this system lacks");
+            const auto &[name, loops] = queue_[e.second];
+            compileAndBind(x, e.first, name, loops);
+        }
+    });
+    if constexpr (kLoad)
+        Reader::check(x.region == saved_region,
+                      "checkpoint compile replay diverged");
+    for (std::uint64_t &p : x.core_prog) {
+        ar.u64(p);
+        if constexpr (kLoad)
+            Reader::check(p < x.programs.size(),
+                          "checkpoint program index out of range");
     }
-    for (std::uint64_t p : x.core_prog)
-        w.u64(p);
+    if constexpr (kLoad)
+        for (unsigned c = 0; c < x.cfg.numCores; ++c)
+            x.core(c).restoreProgram(x.programs[x.core_prog[c]].get());
 
     // Scheduling / completion state.
-    for (Cycle f : x.finish)
-        w.u64(f);
-    for (bool d : x.done)
-        w.b(d);
-    w.u64(x.dispatched.size());
-    for (bool d : x.dispatched)
-        w.b(d);
-    w.u64(x.undispatched);
-    for (const PhaseOI &oi : x.sched_oi) {
-        w.f64(oi.issue);
-        w.f64(oi.mem);
-        w.u8(static_cast<std::uint8_t>(oi.level));
-    }
-    for (Cycle d : x.dispatch_at)
-        w.u64(d);
-    for (std::size_t p : x.pending_wl)
-        w.u64(p);
+    for (Cycle &f : x.finish)
+        ar.u64(f);
+    for (auto &&d : x.done)
+        ar.b(d);
+    ar.len(x.dispatched.size(), "checkpoint batch queue length mismatch");
+    for (auto &&d : x.dispatched)
+        ar.b(d);
+    ar.u64(x.undispatched);
+    for (PhaseOI &oi : x.sched_oi)
+        oi.io(ar);
+    for (Cycle &d : x.dispatch_at)
+        ar.u64(d);
+    for (std::size_t &p : x.pending_wl)
+        ar.u64(p);
 
     // Timelines, in global core order (the engines hold them now, but
     // the byte layout is the pre-engine flat one).
-    for (unsigned c = 0; c < x.cfg.numCores; ++c) {
-        const auto &bk =
-            x.engines[x.clusterOf(c)]->busyBuckets(x.lc(c));
-        w.u64(bk.size());
-        for (double v : bk)
-            w.f64(v);
-    }
-    for (unsigned c = 0; c < x.cfg.numCores; ++c) {
-        const auto &bk =
-            x.engines[x.clusterOf(c)]->allocBuckets(x.lc(c));
-        w.u64(bk.size());
-        for (double v : bk)
-            w.f64(v);
-    }
+    const auto f64 = [&](double &v) { ar.f64(v); };
+    for (unsigned c = 0; c < x.cfg.numCores; ++c)
+        ar.seq(x.eng(c).busyBuckets(x.lc(c)), f64);
+    for (unsigned c = 0; c < x.cfg.numCores; ++c)
+        ar.seq(x.eng(c).allocBuckets(x.lc(c)), f64);
 
     // Partial results accumulated so far.
-    w.u64(x.result.batch.size());
-    for (const BatchCompletion &b : x.result.batch) {
-        w.str(b.name);
-        w.u16(static_cast<std::uint16_t>(b.core));
-        w.u64(b.dispatched);
-        w.u64(b.finished);
-    }
-    w.u64(x.result.snapshots.size());
-    for (const obs::MetricSnapshot &s : x.result.snapshots) {
-        w.u64(s.cycle);
-        w.u64(s.values.size());
-        for (const auto &[name, v] : s.values) {
-            w.str(name);
-            w.f64(v);
-        }
-    }
+    ar.seq(x.result.batch, [&](BatchCompletion &b) {
+        ar.str(b.name);
+        ar.u16(b.core);
+        ar.u64(b.dispatched);
+        ar.u64(b.finished);
+    });
+    ar.seq(x.result.snapshots, [&](obs::MetricSnapshot &s) {
+        ar.u64(s.cycle);
+        ar.seq(s.values, [&](std::pair<std::string, double> &v) {
+            ar.str(v.first);
+            ar.f64(v.second);
+        });
+    });
 
     // The sink's intern table, so a resumed run hands out identical
     // string ids for identical names.
-    const std::vector<std::string> strs =
-        x.opt.sink ? x.opt.sink->internedStrings()
-                   : std::vector<std::string>{};
-    w.u64(strs.size());
-    for (const std::string &s : strs)
-        w.str(s);
+    ar.seq(interned, [&](std::string &s) { ar.str(s); });
 
     // Consumable fault-injector state.
-    w.b(x.injector != nullptr);
+    bool had_injector = x.injector != nullptr;
+    ar.b(had_injector);
+    if constexpr (kLoad)
+        Reader::check(had_injector == (x.injector != nullptr),
+                      "checkpoint fault-plan presence mismatch (pass the "
+                      "same --faults / --fault-seed the checkpointing run "
+                      "used)");
     if (x.injector)
-        x.injector->save(w);
+        x.injector->io(ar);
 
     // Traffic lifecycle state. The section exists only when arrivals
     // were enqueued, so traffic-free checkpoints keep their exact byte
     // layout (and fingerprints) from before the traffic subsystem.
     if (x.has_traffic) {
-        w.section("traffic");
-        w.u64(queue_.size());
+        ar.section("traffic");
+        ar.len(queue_.size(), "checkpoint traffic queue length mismatch");
         for (std::size_t q = 0; q < queue_.size(); ++q) {
-            w.u64(x.eff_arrive[q]);
-            w.b(x.arrived[q]);
-            w.u64(x.admit_at[q]);
-            w.u64(x.done_at[q]);
+            ar.u64(x.eff_arrive[q]);
+            ar.b(x.arrived[q]);
+            ar.u64(x.admit_at[q]);
+            ar.u64(x.done_at[q]);
         }
-        w.u64(x.unarrived);
-        w.u64(x.next_arrival);
-        w.u64(x.slo_violations);
-        for (std::size_t j : x.core_job)
-            w.u64(j);
+        ar.u64(x.unarrived);
+        ar.u64(x.next_arrival);
+        ar.u64(x.slo_violations);
+        for (std::size_t &j : x.core_job)
+            ar.u64(j);
     }
 
     // Admission-control state. Like the traffic section, it exists
@@ -1770,61 +1787,88 @@ System::saveCheckpoint(std::ostream &os) const
     // keep their exact byte layout. Presence mismatches are caught by
     // the fingerprint (the policy key and knobs are part of it).
     if (x.admission) {
-        w.section("admit");
-        w.u64(queue_.size());
+        ar.section("admit");
+        ar.len(queue_.size(),
+               "checkpoint admission queue length mismatch");
         for (std::size_t q = 0; q < queue_.size(); ++q) {
-            w.b(x.adm_latched[q]);
-            w.b(x.adm_shed[q]);
-            w.u64(x.adm_defer_until[q]);
-            w.u32(x.adm_defer_count[q]);
+            ar.b(x.adm_latched[q]);
+            ar.b(x.adm_shed[q]);
+            ar.u64(x.adm_defer_until[q]);
+            ar.u32(x.adm_defer_count[q]);
         }
-        w.u64(x.adm_inflight.size());
+        ar.len(x.adm_inflight.size(),
+               "checkpoint admission tenant count mismatch");
         for (std::size_t t = 0; t < x.adm_inflight.size(); ++t) {
-            w.u32(x.adm_inflight[t]);
-            w.u64(x.adm_tokens[t]);
-            w.u64(x.adm_last_refill[t]);
+            ar.u32(x.adm_inflight[t]);
+            ar.u64(x.adm_tokens[t]);
+            ar.u64(x.adm_last_refill[t]);
         }
-        for (Cycle d : x.adm_delay_ring)
-            w.u64(d);
-        w.u32(x.adm_delay_n);
-        w.u64(x.adm_class_ema.size());
-        for (const auto &[cls, ema] : x.adm_class_ema) {
-            w.str(cls);
-            w.u64(ema);
+        for (Cycle &d : x.adm_delay_ring)
+            ar.u64(d);
+        ar.u32(x.adm_delay_n);
+        ar.len(x.adm_class_ema.size(),
+               "checkpoint admission class table mismatch");
+        for (auto &[cls, ema] : x.adm_class_ema) {
+            std::string saved_cls = cls;
+            ar.str(saved_cls);
+            if constexpr (kLoad)
+                Reader::check(saved_cls == cls,
+                              "checkpoint admission class name mismatch");
+            ar.u64(ema);
         }
-        w.u64(x.adm_mean_ema);
-        w.u64(x.adm_ready);
-        w.b(x.adm_overloaded);
-        w.u64(x.adm_overload_enters);
-        w.u64(x.adm_shed_total);
-        w.u64(x.adm_defer_total);
-        w.u64(x.next_admission);
+        ar.u64(x.adm_mean_ema);
+        ar.u64(x.adm_ready);
+        ar.b(x.adm_overloaded);
+        ar.u64(x.adm_overload_enters);
+        ar.u64(x.adm_shed_total);
+        ar.u64(x.adm_defer_total);
+        ar.u64(x.next_admission);
     }
 
     // Inter-cluster arbiter grants and accounting. Like the traffic
     // section, it exists only on clustered machines, so flat-machine
     // checkpoints keep their exact byte layout.
     if (x.arbiter) {
-        w.section("cluster");
-        x.arbiter->save(w);
+        ar.section("cluster");
+        x.arbiter->io(ar);
+        if constexpr (kLoad)
+            for (unsigned k = 0; k < x.ncl; ++k)
+                x.engines[k]->mem().setDramBytesPerCycle(
+                    x.arbiter->shares()[k]);
         // Per-engine busy-integral shares: the flat slot above only
         // holds their sum, which is not enough to resume engines that
         // keep accumulating independently.
-        for (const auto &eng : x.engines)
-            w.f64(eng->busyIntegral());
+        for (const auto &eng : x.engines) {
+            double share = eng->busyIntegral();
+            ar.f64(share);
+            if constexpr (kLoad)
+                eng->setBusyIntegral(share);
+        }
     }
 
     // Components: per cluster its memory system then its co-processor
     // (the flat order on a 1-cluster machine), then every core in
     // global id order.
     for (const auto &eng : x.engines) {
-        eng->mem().save(w);
-        eng->coproc().save(w);
+        eng->mem().io(ar);
+        eng->coproc().io(ar);
     }
-    w.u64(x.cfg.numCores);
+    ar.len(x.cfg.numCores, "checkpoint core count mismatch");
     for (unsigned c = 0; c < x.cfg.numCores; ++c)
-        x.engines[x.clusterOf(c)]->core(x.lc(c)).save(w);
+        x.core(c).io(ar);
+}
 
+void
+System::saveCheckpoint(std::ostream &os) const
+{
+    if (!ctx_)
+        throw std::logic_error("System::saveCheckpoint: boot() first");
+    Ctx &x = *ctx_;
+    std::vector<std::string> interned;
+    if (x.opt.sink)
+        interned = x.opt.sink->internedStrings();
+    ckpt::Writer w(os);
+    io(w, x, interned);
     w.finish();
 }
 
@@ -1835,196 +1879,11 @@ System::restoreCheckpoint(std::istream &is, const RunOptions &opt)
         boot(opt);
         Ctx &x = *ctx_;
         ckpt::Reader r(is);
-
-        r.expectSection("meta");
-        ckpt::Reader::check(
-            r.u64() == fingerprint(x),
-            "checkpoint fingerprint mismatch: the file was written by "
-            "a system with a different configuration, workload set, or "
-            "determinism-relevant run options");
-        x.now = r.u64();
-
-        r.expectSection("engine");
-        x.last_finish = r.u64();
-        x.complete = r.b();
-        x.result.wallKilled = r.b();
-        x.ff.cyclesSimulated = r.u64();
-        x.ff.cyclesTicked = r.u64();
-        x.ff.cyclesSkipped = r.u64();
-        x.ff.spans = r.u64();
-        x.ff.longestSpan = r.u64();
-        x.watchdog_trips = r.u64();
-        // The flat slot holds the cluster-order sum of the per-engine
-        // busy-integral shares. Park it on engine 0 — exact on a flat
-        // machine; clustered machines overwrite every engine from the
-        // per-engine values in the "cluster" section below.
-        x.engines[0]->setBusyIntegral(r.f64());
-
-        // Replay queued-workload compiles: deterministic compilation
-        // reproduces byte-identical programs and array bindings.
-        const unsigned saved_region = r.u32();
-        const std::size_t nlog = r.arr();
-        for (std::size_t i = 0; i < nlog; ++i) {
-            const CoreId core = static_cast<CoreId>(r.u16());
-            const std::uint64_t q = r.u64();
-            ckpt::Reader::check(q < queue_.size(),
-                                "checkpoint compile log references a "
-                                "queue entry this system lacks");
-            x.compile_log.emplace_back(core, q);
-            compileAndBind(x, core, queue_[q].first, queue_[q].second);
-        }
-        ckpt::Reader::check(x.region == saved_region,
-                            "checkpoint compile replay diverged");
-        for (std::uint64_t &p : x.core_prog) {
-            p = r.u64();
-            ckpt::Reader::check(p < x.programs.size(),
-                                "checkpoint program index out of range");
-        }
-        for (unsigned c = 0; c < x.cfg.numCores; ++c)
-            x.core(c).restoreProgram(
-                x.programs[x.core_prog[c]].get());
-
-        for (Cycle &f : x.finish)
-            f = r.u64();
-        for (std::size_t i = 0; i < x.done.size(); ++i)
-            x.done[i] = r.b();
-        ckpt::Reader::check(r.arr() == x.dispatched.size(),
-                            "checkpoint batch queue length mismatch");
-        for (std::size_t i = 0; i < x.dispatched.size(); ++i)
-            x.dispatched[i] = r.b();
-        x.undispatched = r.u64();
-        for (PhaseOI &oi : x.sched_oi) {
-            oi.issue = r.f64();
-            oi.mem = r.f64();
-            oi.level = static_cast<MemLevel>(r.u8());
-        }
-        for (Cycle &d : x.dispatch_at)
-            d = r.u64();
-        for (std::size_t &p : x.pending_wl)
-            p = r.u64();
-
-        for (unsigned c = 0; c < x.cfg.numCores; ++c) {
-            auto &bk = x.eng(c).busyBuckets(x.lc(c));
-            bk.resize(r.arr());
-            for (double &v : bk)
-                v = r.f64();
-        }
-        for (unsigned c = 0; c < x.cfg.numCores; ++c) {
-            auto &bk = x.eng(c).allocBuckets(x.lc(c));
-            bk.resize(r.arr());
-            for (double &v : bk)
-                v = r.f64();
-        }
-
-        x.result.batch.resize(r.arr());
-        for (BatchCompletion &b : x.result.batch) {
-            b.name = r.str();
-            b.core = static_cast<CoreId>(r.u16());
-            b.dispatched = r.u64();
-            b.finished = r.u64();
-        }
-        x.result.snapshots.resize(r.arr());
-        for (obs::MetricSnapshot &s : x.result.snapshots) {
-            s.cycle = r.u64();
-            s.values.resize(r.arr());
-            for (auto &[name, v] : s.values) {
-                name = r.str();
-                v = r.f64();
-            }
-        }
-
-        std::vector<std::string> strs(r.arr());
-        for (std::string &s : strs)
-            s = r.str();
-        if (x.opt.sink)
-            x.opt.sink->restoreInternedStrings(strs);
-
-        const bool had_injector = r.b();
-        ckpt::Reader::check(
-            had_injector == (x.injector != nullptr),
-            "checkpoint fault-plan presence mismatch (pass the same "
-            "--faults / --fault-seed the checkpointing run used)");
-        if (x.injector)
-            x.injector->load(r);
-
-        if (x.has_traffic) {
-            r.expectSection("traffic");
-            ckpt::Reader::check(r.u64() == queue_.size(),
-                                "checkpoint traffic queue length "
-                                "mismatch");
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                x.eff_arrive[q] = r.u64();
-                x.arrived[q] = r.b();
-                x.admit_at[q] = r.u64();
-                x.done_at[q] = r.u64();
-            }
-            x.unarrived = r.u64();
-            x.next_arrival = r.u64();
-            x.slo_violations = r.u64();
-            for (std::size_t &j : x.core_job)
-                j = r.u64();
-        }
-
-        if (x.admission) {
-            r.expectSection("admit");
-            ckpt::Reader::check(r.u64() == queue_.size(),
-                                "checkpoint admission queue length "
-                                "mismatch");
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                x.adm_latched[q] = r.b();
-                x.adm_shed[q] = r.b();
-                x.adm_defer_until[q] = r.u64();
-                x.adm_defer_count[q] = r.u32();
-            }
-            ckpt::Reader::check(r.u64() == x.adm_inflight.size(),
-                                "checkpoint admission tenant count "
-                                "mismatch");
-            for (std::size_t t = 0; t < x.adm_inflight.size(); ++t) {
-                x.adm_inflight[t] = r.u32();
-                x.adm_tokens[t] = r.u64();
-                x.adm_last_refill[t] = r.u64();
-            }
-            for (Cycle &d : x.adm_delay_ring)
-                d = r.u64();
-            x.adm_delay_n = r.u32();
-            ckpt::Reader::check(r.u64() == x.adm_class_ema.size(),
-                                "checkpoint admission class table "
-                                "mismatch");
-            for (auto &[cls, ema] : x.adm_class_ema) {
-                ckpt::Reader::check(r.str() == cls,
-                                    "checkpoint admission class name "
-                                    "mismatch");
-                ema = r.u64();
-            }
-            x.adm_mean_ema = r.u64();
-            x.adm_ready = r.u64();
-            x.adm_overloaded = r.b();
-            x.adm_overload_enters = r.u64();
-            x.adm_shed_total = r.u64();
-            x.adm_defer_total = r.u64();
-            x.next_admission = r.u64();
-        }
-
-        if (x.arbiter) {
-            r.expectSection("cluster");
-            x.arbiter->load(r);
-            const std::vector<unsigned> &sh = x.arbiter->shares();
-            for (unsigned k = 0; k < x.ncl; ++k)
-                x.engines[k]->mem().setDramBytesPerCycle(sh[k]);
-            for (auto &eng : x.engines)
-                eng->setBusyIntegral(r.f64());
-        }
-
-        for (auto &eng : x.engines) {
-            eng->mem().load(r);
-            eng->coproc().load(r);
-        }
-        ckpt::Reader::check(r.arr() == x.cfg.numCores,
-                            "checkpoint core count mismatch");
-        for (unsigned c = 0; c < x.cfg.numCores; ++c)
-            x.core(c).load(r);
-
+        std::vector<std::string> interned;
+        io(r, x, interned);
         r.finish();
+        if (x.opt.sink)
+            x.opt.sink->restoreInternedStrings(interned);
 
         // The wall-clock budget restarts at restore time; it is host
         // time, not simulated state.

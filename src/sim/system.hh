@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/fwd.hh"
 #include "common/config.hh"
 #include "compiler/compiler.hh"
 #include "coproc/coproc.hh"
@@ -403,7 +402,14 @@ class System
      *  and record the compile for deterministic checkpoint replay. */
     const Program *compileAndBind(Ctx &x, CoreId c,
                                   const std::string &name,
-                                  const std::vector<kir::Loop> &loops);
+                                  const std::vector<kir::Loop> &loops) const;
+
+    /** The checkpoint layout, one body for save (Ar = ckpt::Writer)
+     *  and restore (Ar = ckpt::Reader). @p interned carries the sink's
+     *  intern table; restore applies it only after the trailer checks
+     *  out. */
+    template <class Ar>
+    void io(Ar &ar, Ctx &x, std::vector<std::string> &interned) const;
 
     /** Config+workload+options digest stored in checkpoints. */
     std::uint64_t fingerprint(const Ctx &x) const;
