@@ -13,8 +13,10 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
+#include "traffic/scheduler.hh"
 #include "workloads/suite.hh"
 
 using namespace occamy;
@@ -24,11 +26,11 @@ namespace
 {
 
 RunResult
-drainBatch(SchedPolicy sched, SharingPolicy policy)
+drainBatch(const char *sched, SharingPolicy policy)
 {
-    const MachineConfig cfg =
-        MachineConfig::Builder(policy).cores(2).sched(sched).build();
+    const MachineConfig cfg = MachineConfig::Builder(policy).cores(2).build();
     System sys(cfg);
+    sys.setDispatcher(traffic::dispatcherByName(sched));
     sys.setWorkload(0, "idle0", {});
     sys.setWorkload(1, "idle1", {});
     // Adversarial order: all memory workloads first, then all compute.
@@ -58,20 +60,17 @@ main()
     Cycle fcfs_makespan = 0;
     for (SharingPolicy arch :
          {SharingPolicy::StaticSpatial, SharingPolicy::Elastic}) {
-        for (SchedPolicy sched :
-             {SchedPolicy::Fcfs, SchedPolicy::OiAware}) {
+        for (const char *sched : {"fcfs", "oi"}) {
             const RunResult r = drainBatch(sched, arch);
-            const char *sched_name =
-                sched == SchedPolicy::Fcfs ? "FCFS" : "OI-aware";
+            const bool oi = std::string(sched) == "oi";
+            const char *sched_name = oi ? "OI-aware" : "FCFS";
             std::printf("%-10s %-10s %12llu %9.1f%%\n", sched_name,
                         policyName(arch),
                         static_cast<unsigned long long>(r.cycles),
                         100.0 * r.simdUtil);
-            if (arch == SharingPolicy::Elastic &&
-                sched == SchedPolicy::Fcfs)
+            if (arch == SharingPolicy::Elastic && !oi)
                 fcfs_makespan = r.cycles;
-            if (arch == SharingPolicy::Elastic &&
-                sched == SchedPolicy::OiAware) {
+            if (arch == SharingPolicy::Elastic && oi) {
                 std::printf("\nOI-aware makespan gain on Occamy: "
                             "%.2fx\n",
                             static_cast<double>(fcfs_makespan) /

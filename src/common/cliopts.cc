@@ -35,6 +35,8 @@ parseBool(const std::string &v, bool &out)
     return false;
 }
 
+} // namespace
+
 bool
 parseUnsigned(const std::string &v, std::uint64_t &out)
 {
@@ -48,7 +50,24 @@ parseUnsigned(const std::string &v, std::uint64_t &out)
     return true;
 }
 
-} // namespace
+std::vector<std::string>
+splitCommas(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::string item;
+    for (char c : s) {
+        if (c == ',') {
+            if (!item.empty())
+                out.push_back(item);
+            item.clear();
+        } else {
+            item.push_back(c);
+        }
+    }
+    if (!item.empty())
+        out.push_back(item);
+    return out;
+}
 
 OptionSet::OptionSet(std::string tool, std::string summary)
     : tool_(std::move(tool)), summary_(std::move(summary))

@@ -139,6 +139,13 @@ class OptionSet
     std::vector<std::pair<std::string, std::string>> aliases_;
 };
 
+/** Unsigned decimal as every integer option parses it: "-1", "abc",
+ *  "" and trailing junk are rejected. */
+bool parseUnsigned(const std::string &v, std::uint64_t &out);
+
+/** Split a comma list, dropping empty items ("a,,b," -> {a, b}). */
+std::vector<std::string> splitCommas(const std::string &s);
+
 /**
  * Parse a machine topology spec "CxK" (C co-processor clusters of K
  * cores each, e.g. "4x4") into its two factors. Returns false with

@@ -13,7 +13,7 @@
 #include <system_error>
 #include <thread>
 
-#include "fault/fault.hh"
+#include "runner/build.hh"
 
 namespace occamy::runner
 {
@@ -76,85 +76,16 @@ Runner::runOne(const JobSpec &spec, unsigned transient_retries)
         out.error.clear();
         out.result = RunResult{};
         out.trace = obs::TraceBuffer{};
-        out.ff = FastForwardStats{};
-        // The sink lives on this worker thread for exactly this job;
-        // no other thread ever sees it (stats.hh concurrency contract).
-        // Held outside the try so a throwing or timed-out run still
-        // hands back the partial trace it captured.
-        std::unique_ptr<obs::RingSink> sink;
-        if (spec.traceEvents != 0)
-            sink = std::make_unique<obs::RingSink>(spec.traceCapacity,
-                                                   spec.traceEvents);
+        // Everything the run borrows lives on this worker thread for
+        // exactly this job (stats.hh concurrency contract). Held
+        // outside the try so a throwing or timed-out run still hands
+        // back the partial trace it captured.
+        BuiltRun run;
         bool transient = false;
         try {
-            System sys(spec.cfg);
-            // System::setWorkload range-checks the core id, so a spec
-            // with more slots than cores becomes a contained per-job
-            // failure.
-            for (std::size_t c = 0; c < spec.workloads.size(); ++c)
-                sys.setWorkload(static_cast<CoreId>(c),
-                                spec.workloads[c].first,
-                                spec.workloads[c].second);
-            for (const auto &[name, loops] : spec.batch)
-                sys.enqueueWorkload(name, loops);
-            // Traffic expansion on the worker thread: a bad process or
-            // scheduler name fails this job, not the sweep. The stream
-            // is a pure function of the config, so the same spec yields
-            // the same arrivals on any thread.
-            if (spec.traffic.enabled()) {
-                const traffic::Dispatcher *disp =
-                    traffic::dispatcherByName(spec.traffic.scheduler);
-                if (!disp)
-                    throw std::invalid_argument(
-                        "unknown traffic scheduler: " +
-                        spec.traffic.scheduler);
-                for (const traffic::Arrival &a :
-                     traffic::generate(spec.traffic))
-                    sys.enqueueArrival(a);
-                sys.setDispatcher(disp);
-                // Admission control: validated here so a bad name or
-                // cap is a contained per-job failure too. "none" (the
-                // default) installs nothing at all, keeping the run
-                // byte-identical to pre-admission builds.
-                if (spec.traffic.admissionEnabled()) {
-                    const traffic::AdmissionPolicy *adm =
-                        traffic::admissionByName(spec.traffic.admission);
-                    if (!adm)
-                        throw std::invalid_argument(
-                            "unknown admission policy: " +
-                            spec.traffic.admission);
-                    if (spec.traffic.admissionCap < 1)
-                        throw std::invalid_argument(
-                            "admission cap must be >= 1");
-                    sys.setAdmission(
-                        adm, spec.traffic.admissionCap,
-                        static_cast<Cycle>(spec.traffic.meanGapCycles));
-                    out.hasAdmission = true;
-                }
-            }
-            RunOptions ropt;
-            ropt.maxCycles = spec.maxCycles;
-            ropt.bucket = spec.bucket;
-            ropt.snapshotEvery = spec.snapshotEvery;
-            ropt.fastForward = spec.fastForward;
-            ropt.watchdogCycles = spec.watchdogCycles;
-            ropt.wallClockLimitSec = spec.wallClockLimitSec;
-            ropt.checkpointOut = spec.checkpointOut;
-            ropt.checkpointEvery = spec.checkpointEvery;
-            ropt.simThreads = spec.simThreads;
-            ropt.ffStats = &out.ff;
-            if (sink)
-                ropt.sink = sink.get();
-            // Parsed inside the try: a malformed plan fails this job,
-            // not the sweep.
-            fault::FaultPlan plan;
-            if (!spec.faultPlan.empty())
-                plan = fault::FaultPlan::parse(spec.faultPlan);
-            else if (spec.faultSeed)
-                plan = fault::FaultPlan::random(spec.faultSeed,
-                                                spec.cfg);
-            if (!plan.empty())
-                ropt.faultPlan = &plan;
+            // A bad spec (unknown traffic name, malformed fault plan,
+            // more workloads than cores) fails this job, not the sweep.
+            build(spec, run);
             if (!spec.restoreFrom.empty()) {
                 // Resume mid-run: boot + load + run the remainder.
                 std::ifstream ckpt_is(spec.restoreFrom,
@@ -163,11 +94,11 @@ Runner::runOne(const JobSpec &spec, unsigned transient_retries)
                     throw std::runtime_error(
                         "cannot open checkpoint file: " +
                         spec.restoreFrom);
-                sys.restoreCheckpoint(ckpt_is, ropt);
-                sys.advance();
-                out.result = sys.finalize();
+                run.sys->restoreCheckpoint(ckpt_is, run.opt);
+                run.sys->advance();
+                out.result = run.sys->finalize();
             } else {
-                out.result = sys.run(ropt);
+                out.result = run.sys->run(run.opt);
             }
             if (spec.traffic.enabled()) {
                 out.hasTraffic = true;
@@ -202,8 +133,10 @@ Runner::runOne(const JobSpec &spec, unsigned transient_retries)
             out.status = JobStatus::Failed;
             out.error = "unknown exception";
         }
-        if (sink)
-            out.trace = sink->take();
+        if (run.sink)
+            out.trace = run.sink->take();
+        out.ff = run.ff;
+        out.hasAdmission |= run.hasAdmission;
         out.retriesUsed = attempt;
         if (out.ok() || !transient || attempt >= transient_retries)
             break;

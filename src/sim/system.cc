@@ -111,6 +111,7 @@ struct System::Ctx
     std::vector<bool> done;
 
     // Batch dispatch state (Section 5).
+    const traffic::Dispatcher *dispatcher = nullptr;    ///< Set at boot.
     std::vector<bool> dispatched;
     std::size_t undispatched = 0;
     std::vector<PhaseOI> queue_oi;
@@ -122,7 +123,6 @@ struct System::Ctx
     // Multi-tenant traffic state (src/traffic). Inert unless arrivals
     // were enqueued: has_traffic gates every tick-loop branch, event,
     // and exported artifact, keeping traffic-off runs byte-identical.
-    const traffic::Dispatcher *dispatcher = nullptr;
     bool has_traffic = false;
     std::vector<Cycle> eff_arrive;  ///< kCycleNever = not yet resolvable.
     std::vector<bool> arrived;      ///< Entry is dispatchable.
@@ -350,13 +350,15 @@ System::boot(const RunOptions &opt)
     x.finish.assign(x.cfg.numCores, 0);
     x.done.assign(x.cfg.numCores, false);
 
-    // For the OI-aware discipline we pre-analyze each queued
-    // workload's first-phase behaviour.
+    // Queued work dispatches through the installed dispatcher, FCFS
+    // when none is. An OI-scoring discipline gets each queued
+    // workload's first-phase behaviour pre-analyzed.
+    x.dispatcher =
+        dispatcher_ ? dispatcher_ : traffic::dispatcherByName("fcfs");
     x.dispatched.assign(queue_.size(), false);
     x.undispatched = queue_.size();
     x.queue_oi.resize(queue_.size());
-    if (x.cfg.schedPolicy == SchedPolicy::OiAware ||
-        (dispatcher_ && dispatcher_->wantsOiScore())) {
+    if (x.dispatcher->wantsOiScore()) {
         const MachineConfig &view = x.engines[0]->view();
         for (std::size_t q = 0; q < queue_.size(); ++q)
             if (!queue_[q].second.empty())
@@ -369,7 +371,6 @@ System::boot(const RunOptions &opt)
     // arrivals were enqueued, in which case each entry waits for its
     // effective arrival cycle (closed-loop entries resolve theirs when
     // the predecessor completes).
-    x.dispatcher = dispatcher_;
     x.has_traffic = has_traffic_;
     x.eff_arrive.assign(queue_.size(), 0);
     x.arrived.assign(queue_.size(), true);
@@ -634,79 +635,48 @@ System::advance(Cycle stop_at)
         }
     };
 
-    // Choose which queued workload an idle core picks up next; returns
-    // queue_.size() when nothing is dispatchable yet (the core idles
-    // until the next arrival).
+    // Choose which queued workload an idle core picks up next, through
+    // the dispatcher; returns queue_.size() when nothing is
+    // dispatchable yet (the core idles until the next arrival).
+    // Clustered machines without traffic prefer batch entries whose
+    // home cluster is the idle core's own (entry q's home is
+    // q % numClusters): the dispatcher sees only home entries while
+    // any is ready. Adopting a foreign entry is the work-migration
+    // path — it costs clusterMigrationCycles — taken only when the
+    // home entries are exhausted.
     auto selectNext = [&](CoreId core) -> std::size_t {
-        if (x.dispatcher) {
-            std::vector<traffic::PendingJob> pending;
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                if (!available(q))
-                    continue;
-                traffic::PendingJob pj;
-                pj.queueIdx = q;
-                pj.arrived = x.has_traffic ? x.eff_arrive[q] : 0;
-                pj.tenant = queue_meta_[q].tenant;
-                pj.estCost = queue_meta_[q].estCost;
-                if (queue_meta_[q].sloBudget != kCycleNever)
-                    pj.deadline =
-                        x.eff_arrive[q] + queue_meta_[q].sloBudget;
-                pending.push_back(pj);
-            }
-            if (pending.empty())
-                return queue_.size();
-            traffic::DispatchContext dc{now, core, pending, {}};
-            if (x.dispatcher->wantsOiScore())
-                dc.progressScore = [&](std::size_t i) {
-                    return progressWith(x.queue_oi[pending[i].queueIdx],
-                                        core);
-                };
-            const std::size_t sel = x.dispatcher->select(dc);
-            if (sel >= pending.size())
-                return queue_.size();   // kDefer: leave the core idle.
-            return pending[sel].queueIdx;
-        }
-        // Clustered machines prefer work whose home cluster is the
-        // idle core's own (queue entry q's home is q % numClusters):
-        // adopting a foreign entry is still allowed — that is the
-        // work-migration path — but costs clusterMigrationCycles and
-        // is only taken when the home clusters have nothing ready.
         const unsigned here = x.clusterOf(core);
         auto isHome = [&](std::size_t q) {
             return static_cast<unsigned>(q % x.ncl) == here;
         };
-        if (cfg.schedPolicy == SchedPolicy::Fcfs) {
-            if (x.ncl > 1) {
-                for (std::size_t q = 0; q < queue_.size(); ++q)
-                    if (available(q) && isHome(q))
-                        return q;
-            }
-            for (std::size_t q = 0; q < queue_.size(); ++q)
-                if (available(q))
-                    return q;
-        } else {
-            bool home_only = false;
-            if (x.ncl > 1) {
-                for (std::size_t q = 0; q < queue_.size(); ++q)
-                    if (available(q) && isHome(q)) {
-                        home_only = true;
-                        break;
-                    }
-            }
-            std::size_t best = queue_.size();
-            double best_tp = -1.0;
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                if (!available(q) || (home_only && !isHome(q)))
-                    continue;
-                const double tp = progressWith(x.queue_oi[q], core);
-                if (tp > best_tp + 1e-9) {
-                    best_tp = tp;
-                    best = q;
-                }
-            }
-            return best;
+        bool home_only = false;
+        if (x.ncl > 1 && !x.has_traffic)
+            for (std::size_t q = 0; q < queue_.size() && !home_only; ++q)
+                home_only = available(q) && isHome(q);
+        std::vector<traffic::PendingJob> pending;
+        for (std::size_t q = 0; q < queue_.size(); ++q) {
+            if (!available(q) || (home_only && !isHome(q)))
+                continue;
+            traffic::PendingJob pj;
+            pj.queueIdx = q;
+            pj.arrived = x.has_traffic ? x.eff_arrive[q] : 0;
+            pj.tenant = queue_meta_[q].tenant;
+            pj.estCost = queue_meta_[q].estCost;
+            if (queue_meta_[q].sloBudget != kCycleNever)
+                pj.deadline = x.eff_arrive[q] + queue_meta_[q].sloBudget;
+            pending.push_back(pj);
         }
-        return queue_.size();
+        if (pending.empty())
+            return queue_.size();
+        traffic::DispatchContext dc{now, core, pending, {}};
+        if (x.dispatcher->wantsOiScore())
+            dc.progressScore = [&](std::size_t i) {
+                return progressWith(x.queue_oi[pending[i].queueIdx], core);
+            };
+        const std::size_t sel = x.dispatcher->select(dc);
+        if (sel >= pending.size())
+            return queue_.size();   // kDefer: leave the core idle.
+        return pending[sel].queueIdx;
     };
 
     // The parallel tick phase: engines are ticked concurrently (or in
@@ -1576,7 +1546,9 @@ System::fingerprint(const Ctx &x) const
        << c.retireDelay << '|' << c.dramLatency << '|'
        << c.dramBytesPerCycle << '|' << c.prefetchDegree << '|'
        << c.monitorPeriod << '|' << c.contextSwitchCycles << '|'
-       << static_cast<int>(c.schedPolicy) << '|';
+       // The retired batch-dispatch enum's FCFS value, kept so every
+       // existing checkpoint and pinned fingerprint still matches.
+       << 0 << '|';
     describeCache(os, c.vecCache);
     describeCache(os, c.l2);
     for (unsigned u : c.staticPlan)
@@ -1939,7 +1911,7 @@ System::inspect(const std::string &path) const
                << '\n';
         if (x.has_traffic)
             os << "traffic_dispatcher "
-               << (x.dispatcher ? x.dispatcher->key() : "legacy") << '\n'
+               << x.dispatcher->key() << '\n'
                << "traffic_unarrived " << x.unarrived << '\n'
                << "slo_violations " << x.slo_violations << '\n';
         if (x.admission)

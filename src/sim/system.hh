@@ -300,10 +300,13 @@ class System
     void enqueueArrival(const traffic::Arrival &a);
 
     /**
-     * Select the dispatch discipline for queued work (default: the
-     * legacy MachineConfig::schedPolicy behaviour). Borrowed — must
-     * outlive the System. Registry objects (traffic::dispatcherByName)
-     * are immortal singletons, so those are always safe.
+     * Select the dispatch discipline for queued work; null (the
+     * default) dispatches FCFS through the registry's "fcfs". On a
+     * clustered machine without traffic, every discipline sees only
+     * the idle core's home-cluster entries while any is ready.
+     * Borrowed — must outlive the System. Registry objects
+     * (traffic::dispatcherByName) are immortal singletons, so those
+     * are always safe.
      */
     void setDispatcher(const traffic::Dispatcher *d) { dispatcher_ = d; }
 

@@ -1,5 +1,6 @@
 #include "workloads/suite.hh"
 
+#include <cstdlib>
 #include <stdexcept>
 
 namespace occamy::workloads
@@ -80,6 +81,18 @@ opencvWorkload(unsigned n)
       default:
         throw std::out_of_range("OpenCV workload id out of range");
     }
+}
+
+Workload
+lookupWorkload(const std::string &token)
+{
+    if (token.rfind("CV", 0) == 0)
+        return opencvWorkload(
+            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
+    if (token.rfind("WL", 0) == 0)
+        return specWorkload(
+            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
+    return specWorkload(static_cast<unsigned>(std::atoi(token.c_str())));
 }
 
 std::vector<Pair>

@@ -34,6 +34,10 @@ Workload specWorkload(unsigned n);
 /** Table 3 OpenCV workload WLn (n in 1..12). */
 Workload opencvWorkload(unsigned n);
 
+/** Workload by catalog token: "CVn" (OpenCV), "WLn" or a bare "n"
+ *  (SPEC). Throws std::out_of_range on an unknown id. */
+Workload lookupWorkload(const std::string &token);
+
 /** A co-running pair, placed memory-first per the paper. */
 struct Pair
 {

@@ -13,6 +13,7 @@
 
 #include "sim/system.hh"
 #include "sim/trace.hh"
+#include "traffic/scheduler.hh"
 #include "workloads/phases.hh"
 
 namespace occamy
@@ -275,8 +276,8 @@ TEST(System, BatchMixesWithPinnedWorkloads)
 TEST(System, OiAwareSchedulerPairsComplementaryWorkloads)
 {
     MachineConfig cfg = MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
-    cfg.schedPolicy = SchedPolicy::OiAware;
     System sys(cfg);
+    sys.setDispatcher(traffic::dispatcherByName("oi"));
     sys.setWorkload(0, "idle0", {});
     sys.setWorkload(1, "idle1", {});
     // Adversarial order: memory, memory, compute, compute.
@@ -295,8 +296,8 @@ TEST(System, OiAwareSchedulerPairsComplementaryWorkloads)
 TEST(System, OiAwareNeverLosesWorkloads)
 {
     MachineConfig cfg = MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
-    cfg.schedPolicy = SchedPolicy::OiAware;
     System sys(cfg);
+    sys.setDispatcher(traffic::dispatcherByName("oi"));
     sys.setWorkload(0, "idle0", {});
     sys.setWorkload(1, "idle1", {});
     for (int i = 0; i < 6; ++i)
@@ -311,11 +312,11 @@ TEST(System, OiAwareNeverLosesWorkloads)
 
 TEST(System, OiAwareBeatsAdversarialFcfsOnOccamy)
 {
-    auto drain = [](SchedPolicy sched) {
+    auto drain = [](const char *sched) {
         MachineConfig cfg =
             MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
-        cfg.schedPolicy = sched;
         System sys(cfg);
+        sys.setDispatcher(traffic::dispatcherByName(sched));
         sys.setWorkload(0, "idle0", {});
         sys.setWorkload(1, "idle1", {});
         sys.enqueueWorkload("m0", memWorkload());
@@ -324,8 +325,51 @@ TEST(System, OiAwareBeatsAdversarialFcfsOnOccamy)
         sys.enqueueWorkload("c1", compWorkload(131072));
         return sys.run({.maxCycles = 60'000'000}).cycles;
     };
-    EXPECT_LT(drain(SchedPolicy::OiAware),
-              drain(SchedPolicy::Fcfs) * 101 / 100);
+    EXPECT_LT(drain("oi"), drain("fcfs") * 101 / 100);
+}
+
+// One dispatch path: a clustered batch run without traffic prefers
+// home-cluster entries (q % clusters) under every dispatcher, so no
+// dispatcher, an explicit "fcfs", and the expected placement agree.
+TEST(System, ClusteredBatchPrefersHomeClusterUnderAnyDispatcher)
+{
+    auto run = [](const traffic::Dispatcher *d) {
+        System sys(MachineConfig::Builder(SharingPolicy::Elastic)
+                       .topology(2, 2)
+                       .build());
+        for (unsigned c = 0; c < 4; ++c)
+            sys.setWorkload(static_cast<CoreId>(c),
+                            "pin" + std::to_string(c),
+                            c < 2 ? memWorkload() : compWorkload(4096));
+        for (int i = 0; i < 6; ++i)
+            sys.enqueueWorkload("q" + std::to_string(i),
+                                compWorkload(8192));
+        if (d)
+            sys.setDispatcher(d);
+        return sys.run({.maxCycles = 40'000'000});
+    };
+    const RunResult none = run(nullptr);
+    const RunResult fcfs = run(traffic::dispatcherByName("fcfs"));
+    ASSERT_FALSE(none.timedOut);
+    EXPECT_EQ(trace::toJson(none), trace::toJson(fcfs));
+
+    // Cluster 1 (cores 2-3, short pinned work) goes idle first and
+    // takes its home entries q1, q3, q5 before adopting foreign ones;
+    // every dispatch lands at home while a home entry is still ready.
+    ASSERT_EQ(none.batch.size(), 6u);
+    std::vector<bool> taken(6, false);
+    for (const BatchCompletion &b : none.batch) {
+        const unsigned q = static_cast<unsigned>(std::stoi(b.name.substr(1)));
+        const unsigned here = b.core / 2;
+        if (q % 2 != here) {
+            for (unsigned h = here; h < 6; h += 2) {
+                EXPECT_TRUE(taken[h])
+                    << b.name << " migrated to core " << b.core
+                    << " while home entry q" << h << " was ready";
+            }
+        }
+        taken[q] = true;
+    }
 }
 
 TEST(System, VlsBatchGetsEqualStaticShares)

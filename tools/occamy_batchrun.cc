@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "obs/events.hh"
 #include "obs/export.hh"
 #include "policy/sharing_model.hh"
+#include "runner/build.hh"
 #include "runner/runner.hh"
 #include "runner/sweep.hh"
 #include "traffic/admission.hh"
@@ -52,25 +52,20 @@ struct Options
     std::vector<SharingPolicy> policies;
     unsigned clusters = 1;
     unsigned cores = 2;                 // per cluster
-    Cycle maxCycles = 40'000'000;
     std::string jsonOut;
     std::string csvOut;
     bool progress = false;
     bool quiet = false;
     std::string traceOut;
     std::string traceEvents = "all";
-    Cycle snapshotEvery = 0;
-    bool fastForward = true;
     bool strictTimeout = false;
-    std::string faultPlan;
-    std::uint64_t faultSeed = 0;
-    Cycle watchdogCycles = 0;
     double wallClockLimitSec = 0.0;
     unsigned retries = 0;
     std::string checkpointPrefix;
     Cycle checkpointEvery = 0;
     std::string restoreFrom;
-    unsigned simThreads = 1;
+    /** Options every job of the sweep shares (the shared rows). */
+    runner::JobSpec run;
 
     // Multi-tenant traffic mode (replaces the pair sweep when set).
     std::string traffic;            ///< Arrival-process name; "" = off.
@@ -83,33 +78,6 @@ struct Options
     std::string admission = "none"; ///< Admission policy; "none" = off.
     unsigned admissionCap = 4;      ///< Per-tenant cap / bucket size.
 };
-
-std::optional<SharingPolicy>
-parsePolicy(const std::string &s)
-{
-    if (const policy::SharingModel *m = policy::modelByName(s))
-        return m->id();
-    return std::nullopt;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : s) {
-        if (c == ',') {
-            if (!item.empty())
-                out.push_back(item);
-            item.clear();
-        } else {
-            item.push_back(c);
-        }
-    }
-    if (!item.empty())
-        out.push_back(item);
-    return out;
-}
 
 /** Resolve --pairs into catalog entries; empty return = bad selector. */
 std::vector<workloads::Pair>
@@ -124,7 +92,7 @@ selectPairs(const std::string &spec)
         return workloads::opencvPairs();
 
     std::vector<workloads::Pair> out;
-    for (const std::string &token : splitCommas(spec)) {
+    for (const std::string &token : cliopts::splitCommas(spec)) {
         if (token.find('+') != std::string::npos) {
             bool found = false;
             for (const auto &p : all)
@@ -172,33 +140,20 @@ optionTable(Options &opt)
                     opt.policies.clear();
                     if (v == "all")
                         return true;    // = every registered policy.
-                    for (const std::string &tok : splitCommas(v)) {
-                        auto p = parsePolicy(tok);
-                        if (!p) {
-                            err = "unknown policy: " + tok +
-                                  " (see --list-policies)";
+                    for (const std::string &tok : cliopts::splitCommas(v)) {
+                        opt.policies.emplace_back();
+                        if (!runner::parsePolicy(tok, opt.policies.back(),
+                                                 err))
                             return false;
-                        }
-                        opt.policies.push_back(*p);
                     }
                     return true;
-                })
-        .custom("topology", "CxK",
-                "sweep C co-processor clusters of K cores each\n"
-                "(default 1x2); clustered machines add per-cluster\n"
-                "arbiter columns to the JSON/CSV exports",
-                [&opt](const std::string &v, std::string &err) {
-                    return cliopts::parseTopology(v, opt.clusters,
-                                                  opt.cores, err);
                 })
         .custom("cores", "N",
                 "flat core count per job (default 2); shorthand for\n"
                 "--topology 1xN",
                 [&opt](const std::string &v, std::string &err) {
-                    char *end = nullptr;
-                    const unsigned long long n =
-                        std::strtoull(v.c_str(), &end, 10);
-                    if (v.empty() || *end != '\0' || n == 0) {
+                    std::uint64_t n = 0;
+                    if (!cliopts::parseUnsigned(v, n) || n == 0) {
                         err = "--cores wants a positive integer, got \"" +
                               v + "\"";
                         return false;
@@ -207,8 +162,6 @@ optionTable(Options &opt)
                     opt.cores = static_cast<unsigned>(n);
                     return true;
                 })
-        .value("max-cycles", &opt.maxCycles, "N",
-               "per-job simulation cap (default 4e7)")
         .value("json-out", &opt.jsonOut, "FILE",
                "write the aggregated sweep JSON")
         .value("csv-out", &opt.csvOut, "FILE",
@@ -223,23 +176,9 @@ optionTable(Options &opt)
         .value("trace-events", &opt.traceEvents, "L",
                "categories: comma list of phase,pipeline,partition,\n"
                "reconfig,mem,sched,cluster or 'all'")
-        .value("snapshot-every", &opt.snapshotEvery, "N",
-               "metric snapshot each N cycles")
-        .onOff("fast-forward", &opt.fastForward,
-               "skip quiescent cycle spans (default on; results are\n"
-               "identical either way)")
         .flag("strict-timeout", &opt.strictTimeout,
               "exit 3 (with a stderr note) if any job hit its\n"
               "--max-cycles cap")
-        .value("fault-plan", &opt.faultPlan, "S",
-               "deterministic fault plan applied to every job (see\n"
-               "occamy-sim --help for the grammar)")
-        .value("fault-seed", &opt.faultSeed, "N",
-               "seeded random fault plan per job (ignored when\n"
-               "--fault-plan is given)")
-        .value("watchdog-cycles", &opt.watchdogCycles, "N",
-               "per-job livelock watchdog threshold (escalates stuck\n"
-               "<VL> spins; default off)")
         .value("wall-clock-limit", &opt.wallClockLimitSec, "S",
                "kill any job after S seconds of host time (failed,\n"
                "partial result kept)")
@@ -256,10 +195,6 @@ optionTable(Options &opt)
         .value("restore", &opt.restoreFrom, "F",
                "resume from checkpoint F; the sweep must select\n"
                "exactly one pair and one policy")
-        .value("sim-threads", &opt.simThreads, "N",
-               "worker threads per job's own cycle loop (clustered\n"
-               "machines only; byte-identical for any N; composes\n"
-               "with --jobs)")
         .value("traffic", &opt.traffic, "PROC",
                "multi-tenant traffic mode: stochastic arrivals from\n"
                "process PROC (poisson|bursty|diurnal|closed) swept\n"
@@ -287,6 +222,7 @@ optionTable(Options &opt)
         .value("admission-cap", &opt.admissionCap, "N",
                "per-tenant in-flight cap / token-bucket size\n"
                "(default 4)", 1);
+    runner::addRunOptions(cli, opt.run, opt.clusters, opt.cores);
     cliopts::addListOptions(
         cli, cliopts::kListTraffic | cliopts::kListSchedulers |
                  cliopts::kListAdmission | cliopts::kListPairs |
@@ -317,17 +253,11 @@ main(int argc, char **argv)
         for (const policy::SharingModel *m : policy::allModels())
             opt.policies.push_back(m->id());
 
-    // Per-job machine override; null on the default 1x2 shape so the
-    // sweep presets stay byte-for-byte on MachineConfig::forPolicy.
-    std::function<void(MachineConfig &)> tweak;
-    if (opt.clusters != 1 || opt.cores != 2)
-        tweak = [&opt](MachineConfig &cfg) {
-            cfg = opt.clusters == 1
-                      ? MachineConfig::forPolicy(cfg.policy, opt.cores)
-                      : MachineConfig::Builder(cfg.policy)
-                            .topology(opt.clusters, opt.cores)
-                            .build();
-        };
+    // Per-job machine for the selected shape (the default 1x2 is the
+    // sweep's MachineConfig::forPolicy preset byte-for-byte).
+    const auto tweak = [&opt](MachineConfig &cfg) {
+        cfg = runner::machineFor(cfg.policy, opt.clusters, opt.cores);
+    };
 
     std::vector<workloads::Pair> pairs;
     std::vector<runner::JobSpec> jobs;
@@ -369,7 +299,7 @@ main(int argc, char **argv)
             tc.admission = opt.admission;
             tc.admissionCap = opt.admissionCap;
             jobs = runner::trafficSweepJobs(tc, opt.policies, scheds,
-                                            opt.maxCycles, tweak);
+                                            opt.run.maxCycles, tweak);
             // The SLO budget is given in simulated milliseconds;
             // convert against each job's own clock (ms x GHz x 1e6
             // cycles).
@@ -384,7 +314,7 @@ main(int argc, char **argv)
                 return 2;
             }
             jobs = runner::pairSweepJobs(pairs, opt.policies,
-                                         opt.maxCycles, tweak);
+                                         opt.run.maxCycles, tweak);
         }
     } catch (const std::exception &e) {
         // An infeasible --topology surfaces from the Builder here.
@@ -410,13 +340,8 @@ main(int argc, char **argv)
     for (auto &spec : jobs) {
         if (!opt.traceOut.empty())
             spec.traceEvents = obs::parseEventMask(opt.traceEvents);
-        spec.snapshotEvery = opt.snapshotEvery;
-        spec.fastForward = opt.fastForward;
-        spec.faultPlan = opt.faultPlan;
-        spec.faultSeed = opt.faultSeed;
-        spec.watchdogCycles = opt.watchdogCycles;
+        runner::copyRunOptions(opt.run, spec);
         spec.wallClockLimitSec = opt.wallClockLimitSec;
-        spec.simThreads = opt.simThreads;
         if (!opt.checkpointPrefix.empty() && opt.checkpointEvery) {
             // One checkpoint file per job, named by its label.
             std::string label = spec.label;
@@ -558,7 +483,8 @@ main(int argc, char **argv)
                          "%zu job(s) hit the %llu-cycle cap "
                          "(--strict-timeout)\n",
                          timed_out,
-                         static_cast<unsigned long long>(opt.maxCycles));
+                         static_cast<unsigned long long>(
+                             opt.run.maxCycles));
             return 3;
         }
     }

@@ -54,16 +54,14 @@
 #include <vector>
 
 #include "common/cliopts.hh"
-#include "fault/fault.hh"
 #include "obs/events.hh"
 #include "obs/sink.hh"
 #include "policy/sharing_model.hh"
+#include "runner/build.hh"
 #include "runner/runner.hh"
 #include "runner/sweep.hh"
 #include "sim/system.hh"
-#include "traffic/admission.hh"
-#include "traffic/arrival.hh"
-#include "traffic/scheduler.hh"
+#include "traffic/traffic.hh"
 #include "workloads/suite.hh"
 
 using namespace occamy;
@@ -281,187 +279,146 @@ getStr(const Kv &m, const std::string &k, const std::string &dflt = "")
     return it == m.end() ? dflt : it->second;
 }
 
+/** A per-request unsigned number (count, cycles, ...): "-1", "abc"
+ *  and "" are request errors, never a wrapped or zero value. */
 std::uint64_t
-getU64(const Kv &m, const std::string &k, std::uint64_t dflt = 0)
-{
-    const auto it = m.find(k);
-    return it == m.end()
-               ? dflt
-               : static_cast<std::uint64_t>(std::atoll(it->second.c_str()));
-}
-
-bool
-getBool(const Kv &m, const std::string &k, bool dflt)
+getU64(const Kv &m, const std::string &k, std::uint64_t dflt)
 {
     const auto it = m.find(k);
     if (it == m.end())
         return dflt;
-    return it->second == "true" || it->second == "on" ||
-           it->second == "1";
+    std::uint64_t n = 0;
+    if (!cliopts::parseUnsigned(it->second, n))
+        throw std::runtime_error("\"" + k + "\" wants an unsigned "
+                                 "integer, got \"" + it->second + "\"");
+    return n;
 }
 
-workloads::Workload
-lookupWorkload(const std::string &token)
+/** @p now advanced by @p n cycles, saturating at kCycleNever ("run
+ *  to completion") instead of wrapping. */
+Cycle
+cyclesAfter(Cycle now, Cycle n)
 {
-    if (token.rfind("CV", 0) == 0)
-        return workloads::opencvWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    if (token.rfind("WL", 0) == 0)
-        return workloads::specWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    return workloads::specWorkload(
-        static_cast<unsigned>(std::atoi(token.c_str())));
+    return n >= kCycleNever - now ? kCycleNever : now + n;
 }
 
-std::vector<std::string>
-splitCommas(const std::string &s)
+/** Feed every key of @p m that @p rows knows through it. Other keys
+ *  (cmd, id, count, file, ...) pass through untouched; a bad value
+ *  throws with the row's message. */
+void
+applyKeys(const cliopts::OptionSet &rows, const Kv &m)
 {
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : s) {
-        if (c == ',') {
-            if (!item.empty())
-                out.push_back(item);
-            item.clear();
-        } else {
-            item.push_back(c);
-        }
-    }
-    if (!item.empty())
-        out.push_back(item);
-    return out;
-}
-
-/** One booted simulation the daemon holds: a pooled instance or the
- *  stepped session. Owns everything RunOptions borrows. */
-struct SimEntry
-{
-    std::string key;            ///< Pool identity (see specKey()).
-    std::string label;
-    MachineConfig cfg;
-    fault::FaultPlan plan;      ///< Storage behind opt.faultPlan.
-    std::unique_ptr<obs::RingSink> sink;
-    RunOptions opt;
-    FastForwardStats ff;
-    std::unique_ptr<System> sys;
-    bool hasTraffic = false;    ///< Traffic session (arrival stream).
-    bool hasAdmission = false;  ///< Admission policy installed.
-};
-
-/** Simulation parameters a request may set. Parsed through the same
- *  declarative option table the CLIs use (common/cliopts): the NDJSON
- *  key "max_cycles" is the flag --max-cycles, with the identical
- *  validation and error messages. */
-struct SimSpec
-{
-    std::string policy = "occamy";
-    std::string pair = "6+16";
-    unsigned clusters = 1;
-    unsigned cores = 2;             ///< Per cluster.
-    std::string batch;
-    std::uint64_t maxCycles = 40'000'000;
-    std::uint64_t watchdogCycles = 0;
-    std::string faultPlan;
-    std::uint64_t faultSeed = 0;
-    std::uint64_t snapshotEvery = 0;
-    bool fastForward = true;
-    std::string checkpointOut;
-    std::uint64_t checkpointEvery = 0;
-    std::string traceEvents;
-    std::uint64_t traceCapacity = 1u << 20;
-    unsigned simThreads = 1;
-
-    // Traffic session mode: a non-empty "traffic" swaps the pair/batch
-    // workload for a generated multi-tenant arrival stream (the same
-    // expansion occamy-batchrun's traffic mode uses).
-    std::string traffic;            ///< Arrival-process name; "" = off.
-    unsigned tenants = 2;
-    std::uint64_t arrivalSeed = 1;
-    std::uint64_t trafficJobs = 4;
-    double trafficRate = 200'000.0;
-    std::uint64_t sloCycles = 0;
-    std::string scheduler = "fcfs";
-    std::string admission = "none";
-    unsigned admissionCap = 4;
-};
-
-/** The config-key table: one entry per request key makeEntry honors. */
-cliopts::OptionSet
-simSpecOptions(SimSpec &s)
-{
-    cliopts::OptionSet set("occamy-serve", "simulation request keys");
-    set.value("policy", &s.policy, "P", "sharing policy name")
-        .value("pair", &s.pair, "A+B", "workload ids for core0+core1")
-        .custom("topology", "CxK",
-                "C co-processor clusters of K cores each",
-                [&s](const std::string &v, std::string &err) {
-                    return cliopts::parseTopology(v, s.clusters,
-                                                  s.cores, err);
-                })
-        .value("cores", &s.cores, "N", "cores per cluster", 1)
-        .value("batch", &s.batch, "L", "comma-separated workload list")
-        .value("max-cycles", &s.maxCycles, "N", "simulation cap")
-        .value("watchdog-cycles", &s.watchdogCycles, "N",
-               "livelock watchdog threshold")
-        .value("fault-plan", &s.faultPlan, "S",
-               "deterministic fault plan")
-        .value("fault-seed", &s.faultSeed, "N", "seeded fault plan")
-        .value("snapshot-every", &s.snapshotEvery, "N",
-               "metric snapshot period")
-        .onOff("fast-forward", &s.fastForward,
-               "skip quiescent cycle spans")
-        .value("checkpoint-out", &s.checkpointOut, "F",
-               "periodic checkpoint file")
-        .value("checkpoint-every", &s.checkpointEvery, "N",
-               "checkpoint period")
-        .value("trace-events", &s.traceEvents, "L",
-               "extra event categories")
-        .value("trace-capacity", &s.traceCapacity, "N",
-               "event ring capacity", 1)
-        .value("sim-threads", &s.simThreads, "N",
-               "cycle-loop worker threads (clustered machines)", 1)
-        .value("traffic", &s.traffic, "PROC",
-               "traffic session: arrival process name")
-        .value("tenants", &s.tenants, "N", "tenant streams", 1)
-        .value("arrival-seed", &s.arrivalSeed, "N", "arrival seed")
-        .value("traffic-jobs", &s.trafficJobs, "N", "jobs per tenant", 1)
-        .value("traffic-rate", &s.trafficRate, "G",
-               "mean inter-arrival gap, cycles", true)
-        .value("slo-cycles", &s.sloCycles, "N", "per-job SLO budget")
-        .value("scheduler", &s.scheduler, "S", "dispatch discipline")
-        .value("admission", &s.admission, "A", "admission policy")
-        .value("admission-cap", &s.admissionCap, "N",
-               "per-tenant in-flight cap / token-bucket size", 1);
-    return set;
-}
-
-/** Parse a request's config keys into a SimSpec. Non-config keys
- *  (cmd, id, count, file, ...) pass through untouched; a config key
- *  with a bad value throws with the table's error message. */
-SimSpec
-parseSpec(const Kv &m)
-{
-    SimSpec s;
-    const cliopts::OptionSet set = simSpecOptions(s);
     for (const auto &[k, v] : m) {
-        if (!set.has(k))
+        if (!rows.has(k))
             continue;
         std::string err;
-        if (!set.set(k, v, err))
+        if (!rows.set(k, v, err))
             throw std::runtime_error(err);
     }
-    return s;
 }
 
-/** Canonical identity of a request's simulation parameters: a pooled
- *  instance may serve a request iff the keys match exactly. */
-std::string
-specKey(const SimSpec &s)
+/**
+ * The request's simulation as a runner::JobSpec. Config keys go
+ * through the option rows the CLIs use (runner::addRunOptions plus
+ * the serve-only rows below): the NDJSON key "max_cycles" is the flag
+ * --max-cycles, with the identical validation and error messages.
+ */
+runner::JobSpec
+parseRequest(const Kv &m)
 {
+    runner::JobSpec spec;
+    spec.cfg.policy = SharingPolicy::Elastic;
+    // Engine events always on: SystemBoot is the warm-pool proof and
+    // CheckpointSave/Restore narrate the session. "trace_events" adds
+    // simulated-hardware categories on top.
+    spec.traceEvents = obs::kEvEngine;
+    unsigned clusters = 1;
+    unsigned cores = 2;             // Per cluster.
+    std::string pair = "6+16";
+    std::string batch;
+    traffic::TrafficConfig &tc = spec.traffic;
+
+    cliopts::OptionSet rows("occamy-serve", "simulation request keys");
+    runner::addRunOptions(rows, spec, clusters, cores);
+    rows.custom("policy", "P", "sharing policy name",
+                [&spec](const std::string &v, std::string &err) {
+                    if (runner::parsePolicy(v, spec.cfg.policy, err))
+                        return true;
+                    err = "unknown policy: " + v +
+                          " (see hello's policy list)";
+                    return false;
+                })
+        .value("pair", &pair, "A+B", "workload ids for core0+core1")
+        .value("cores", &cores, "N", "cores per cluster", 1)
+        .value("batch", &batch, "L", "comma-separated workload list")
+        .value("checkpoint-out", &spec.checkpointOut, "F",
+               "periodic checkpoint file")
+        .value("checkpoint-every", &spec.checkpointEvery, "N",
+               "checkpoint period")
+        .custom("trace-events", "L", "extra event categories",
+                [&spec](const std::string &v, std::string &) {
+                    spec.traceEvents |= obs::parseEventMask(v);
+                    return true;
+                })
+        .value("trace-capacity", &spec.traceCapacity, "N",
+               "event ring capacity", 1)
+        .value("traffic", &tc.process, "PROC",
+               "traffic session: arrival process name")
+        .value("tenants", &tc.tenants, "N", "tenant streams", 1)
+        .value("arrival-seed", &tc.seed, "N", "arrival seed")
+        .value("traffic-jobs", &tc.jobsPerTenant, "N", "jobs per tenant",
+               1)
+        .value("traffic-rate", &tc.meanGapCycles, "G",
+               "mean inter-arrival gap, cycles", true)
+        .value("slo-cycles", &tc.sloCycles, "N", "per-job SLO budget")
+        .value("scheduler", &tc.scheduler, "S", "dispatch discipline")
+        .value("admission", &tc.admission, "A", "admission policy")
+        .value("admission-cap", &tc.admissionCap, "N",
+               "per-tenant in-flight cap / token-bucket size", 1);
+    applyKeys(rows, m);
+
+    spec.cfg = runner::machineFor(spec.cfg.policy, clusters, cores);
+    const auto plus = pair.find('+');
+    if (plus == std::string::npos)
+        throw std::runtime_error("bad pair (want e.g. \"6+16\"): " +
+                                 pair);
+    for (const std::string &token :
+         {pair.substr(0, plus), pair.substr(plus + 1)}) {
+        const workloads::Workload w = workloads::lookupWorkload(token);
+        spec.workloads.emplace_back(w.name, w.loops);
+    }
+    for (const std::string &token : cliopts::splitCommas(batch)) {
+        const workloads::Workload w = workloads::lookupWorkload(token);
+        spec.batch.emplace_back(w.name, w.loops);
+    }
+    const std::string policy_key = policy::model(spec.cfg.policy).key();
+    spec.label = tc.enabled()
+                     ? tc.process + "/" + policy_key + "/" + tc.scheduler
+                     : pair + "/" + policy_key;
+    return spec;
+}
+
+/**
+ * Canonical identity of a request's simulation: a pooled instance may
+ * serve a request iff the keys match exactly. Workloads are spelled
+ * as the catalog tokens a request uses ("6+16", "CV6+CV1"; batch
+ * "WL8,CV5").
+ */
+std::string
+specKey(const runner::JobSpec &s)
+{
+    std::string pair;
+    for (const auto &[name, loops] : s.workloads)
+        pair += (pair.empty() ? "" : "+") +
+                (name.rfind("WL", 0) == 0 ? name.substr(2) : name);
+    std::string batch;
+    for (const auto &[name, loops] : s.batch)
+        batch += (batch.empty() ? "" : ",") + name;
     std::string key =
-        s.policy + "|" + s.pair + "|" +
-        std::to_string(s.clusters) + "x" + std::to_string(s.cores) +
-        "|" + s.batch + "|" + std::to_string(s.maxCycles) + "|" +
+        std::string(policy::model(s.cfg.policy).key()) + "|" + pair +
+        "|" + std::to_string(s.cfg.numClusters) + "x" +
+        std::to_string(s.cfg.coresPerCluster()) + "|" + batch + "|" +
+        std::to_string(s.maxCycles) + "|" +
         std::to_string(s.watchdogCycles) + "|" + s.faultPlan + "|" +
         std::to_string(s.faultSeed) + "|" +
         std::to_string(s.snapshotEvery) + "|" +
@@ -469,129 +426,48 @@ specKey(const SimSpec &s)
     // Traffic sessions extend the key (batch requests keep their
     // historical keys): a pooled batch instance never serves a traffic
     // request or vice versa.
-    if (!s.traffic.empty()) {
+    const traffic::TrafficConfig &t = s.traffic;
+    if (t.enabled()) {
         char rate[32];
-        std::snprintf(rate, sizeof rate, "%.6g", s.trafficRate);
-        key += "|tr:" + s.traffic + "|" + std::to_string(s.tenants) +
-               "|" + std::to_string(s.arrivalSeed) + "|" +
-               std::to_string(s.trafficJobs) + "|" + rate + "|" +
-               std::to_string(s.sloCycles) + "|" + s.scheduler + "|" +
-               s.admission + "|" + std::to_string(s.admissionCap);
+        std::snprintf(rate, sizeof rate, "%.6g", t.meanGapCycles);
+        key += "|tr:" + t.process + "|" + std::to_string(t.tenants) +
+               "|" + std::to_string(t.seed) + "|" +
+               std::to_string(t.jobsPerTenant) + "|" + rate + "|" +
+               std::to_string(t.sloCycles) + "|" + t.scheduler + "|" +
+               t.admission + "|" + std::to_string(t.admissionCap);
     }
     return key;
 }
 
-std::string
-specKey(const Kv &m)
+/** One booted simulation the daemon holds: a pooled instance or the
+ *  stepped session, built by runner::build. */
+struct SimEntry : runner::BuiltRun
 {
-    return specKey(parseSpec(m));
-}
+    std::string key;            ///< Pool identity (see specKey()).
+    std::string label;
+    bool hasTraffic = false;    ///< Traffic session (arrival stream).
+};
 
-/** Build a SimEntry from request params; boots unless told not to
+/** Build a SimEntry from a parsed request; boots unless told not to
  *  (restore boots through System::restoreCheckpoint instead). Throws
- *  std::runtime_error on bad params. */
+ *  on a bad spec. */
 std::unique_ptr<SimEntry>
-makeEntry(const Kv &m, bool boot)
+makeEntry(runner::JobSpec spec, bool boot)
 {
-    const SimSpec s = parseSpec(m);
     auto e = std::make_unique<SimEntry>();
-    e->key = specKey(s);
-
-    const policy::SharingModel *model = policy::modelByName(s.policy);
-    if (!model)
-        throw std::runtime_error("unknown policy: " + s.policy +
-                                 " (see hello's policy list)");
-    e->cfg = s.clusters == 1
-                 ? MachineConfig::forPolicy(model->id(), s.cores)
-                 : MachineConfig::Builder(model->id())
-                       .topology(s.clusters, s.cores)
-                       .build();
-
-    e->sys = std::make_unique<System>(e->cfg);
-    if (!s.traffic.empty()) {
-        // Traffic session: the workload is a generated multi-tenant
-        // arrival stream; the pair/batch keys are ignored.
-        traffic::TrafficConfig tc;
-        tc.process = s.traffic;
-        tc.tenants = s.tenants;
-        tc.seed = s.arrivalSeed;
-        tc.jobsPerTenant = s.trafficJobs;
-        tc.meanGapCycles = s.trafficRate;
-        tc.sloCycles = s.sloCycles;
-        tc.scheduler = s.scheduler;
-        tc.admission = s.admission;
-        tc.admissionCap = s.admissionCap;
-        const traffic::Dispatcher *disp =
-            traffic::dispatcherByName(tc.scheduler);
-        if (!disp)
-            throw std::runtime_error("unknown scheduler: " +
-                                     tc.scheduler);
-        if (!traffic::processByName(tc.process))
-            throw std::runtime_error("unknown traffic process: " +
-                                     tc.process);
-        for (const traffic::Arrival &a : traffic::generate(tc))
-            e->sys->enqueueArrival(a);
-        e->sys->setDispatcher(disp);
-        if (tc.admissionEnabled()) {
-            const traffic::AdmissionPolicy *adm =
-                traffic::admissionByName(tc.admission);
-            if (!adm)
-                throw std::runtime_error("unknown admission policy: " +
-                                         tc.admission);
-            e->sys->setAdmission(
-                adm, tc.admissionCap,
-                static_cast<Cycle>(tc.meanGapCycles));
-            e->hasAdmission = true;
-        }
-        e->hasTraffic = true;
-        e->label = s.traffic + "/" + model->key() + "/" + tc.scheduler;
-    } else {
-        const auto plus = s.pair.find('+');
-        if (plus == std::string::npos)
-            throw std::runtime_error("bad pair (want e.g. \"6+16\"): " +
-                                     s.pair);
-        const workloads::Workload w0 =
-            lookupWorkload(s.pair.substr(0, plus));
-        const workloads::Workload w1 =
-            lookupWorkload(s.pair.substr(plus + 1));
-        e->sys->setWorkload(0, w0.name, w0.loops);
-        if (e->cfg.numCores > 1)
-            e->sys->setWorkload(1, w1.name, w1.loops);
-        for (const std::string &token : splitCommas(s.batch)) {
-            const workloads::Workload w = lookupWorkload(token);
-            e->sys->enqueueWorkload(w.name, w.loops);
-        }
-        e->label = s.pair + "/" + model->key();
+    e->key = specKey(spec);
+    e->label = spec.label;
+    e->hasTraffic = spec.traffic.enabled();
+    // A traffic session's workload is its arrival stream (the pair
+    // and batch keys are ignored); a one-core machine runs core0's
+    // workload only.
+    if (e->hasTraffic) {
+        spec.workloads.clear();
+        spec.batch.clear();
+    } else if (spec.workloads.size() > spec.cfg.numCores) {
+        spec.workloads.resize(spec.cfg.numCores);
     }
-
-    e->opt.maxCycles = s.maxCycles;
-    e->opt.snapshotEvery = s.snapshotEvery;
-    e->opt.fastForward = s.fastForward;
-    e->opt.watchdogCycles = s.watchdogCycles;
-    e->opt.checkpointOut = s.checkpointOut;
-    e->opt.checkpointEvery = s.checkpointEvery;
-    // Not part of specKey: thread count never changes results, so a
-    // pooled instance may serve requests with any sim-threads value.
-    e->opt.simThreads = s.simThreads;
-    e->opt.ffStats = &e->ff;
-
-    // Engine events always on: SystemBoot is the warm-pool proof and
-    // CheckpointSave/Restore narrate the session. "trace_events" adds
-    // simulated-hardware categories on top.
-    obs::EventMask mask = obs::kEvEngine;
-    if (!s.traceEvents.empty())
-        mask |= obs::parseEventMask(s.traceEvents);
-    e->sink = std::make_unique<obs::RingSink>(
-        static_cast<std::size_t>(s.traceCapacity), mask);
-    e->opt.sink = e->sink.get();
-
-    if (!s.faultPlan.empty())
-        e->plan = fault::FaultPlan::parse(s.faultPlan);
-    else if (s.faultSeed)
-        e->plan = fault::FaultPlan::random(s.faultSeed, e->cfg);
-    if (!e->plan.empty())
-        e->opt.faultPlan = &e->plan;
-
+    runner::build(spec, *e);
     if (boot)
         e->sys->boot(e->opt);
     return e;
@@ -738,7 +614,7 @@ recoverSession(Daemon &d, const std::string &dir)
         if (!parseFlat(line, spec, perr))
             throw std::runtime_error("bad metadata in " + meta + ": " +
                                      perr);
-        auto e = makeEntry(spec, /*boot=*/false);
+        auto e = makeEntry(parseRequest(spec), /*boot=*/false);
         std::ifstream is(ckpt, std::ios::binary);
         if (!is)
             throw std::runtime_error("cannot open " + ckpt);
@@ -788,9 +664,10 @@ void
 cmdPool(Daemon &d, const Kv &req)
 {
     const std::uint64_t count = getU64(req, "count", 1);
-    const std::string key = specKey(req);
+    const runner::JobSpec spec = parseRequest(req);
+    const std::string key = specKey(spec);
     for (std::uint64_t i = 0; i < count; ++i) {
-        auto e = makeEntry(req, /*boot=*/true);
+        auto e = makeEntry(spec, /*boot=*/true);
         // Drain boot-time events now: anything the sink catches later
         // happened on a request path.
         const obs::TraceBuffer tb = e->sink->take();
@@ -812,31 +689,44 @@ cmdPool(Daemon &d, const Kv &req)
 std::unique_ptr<SimEntry>
 acquire(Daemon &d, const Kv &req, bool &pool_hit)
 {
-    auto e = d.takePooled(specKey(req));
+    runner::JobSpec spec = parseRequest(req);
+    auto e = d.takePooled(specKey(spec));
     pool_hit = e != nullptr;
     if (!e) {
-        e = makeEntry(req, /*boot=*/true);
+        e = makeEntry(std::move(spec), /*boot=*/true);
         // Inline boot happened on the request path; keep its SystemBoot
         // event in the sink so the done/loaded reply counts it.
     }
     return e;
 }
 
-/** Stream progress while advancing to completion; shared by run and
- *  the finishing step of a session. A request-supplied "deadline_ms"
- *  bounds the wall clock spent: when it trips, advancing stops at the
- *  current cycle boundary and false comes back — the caller turns that
- *  into a structured "busy" error (the session keeps its progress, so
- *  a client may simply retry). 0 / absent = no deadline. */
-bool
-streamToCompletion(SimEntry &e, const Kv &req)
+/** How run and finalize advance: cycles between progress lines
+ *  ("progress_every") and a wall-clock budget ("deadline_ms"; 0 /
+ *  absent = none). Parsed before any work starts. */
+struct Pace
 {
-    const Cycle chunk = std::max<Cycle>(getU64(req, "progress_every",
-                                               2'000'000),
-                                        1);
-    const std::uint64_t deadline_ms = getU64(req, "deadline_ms", 0);
+    Cycle chunk;
+    std::uint64_t deadlineMs;
+
+    explicit Pace(const Kv &req)
+        : chunk(std::max<Cycle>(getU64(req, "progress_every", 2'000'000),
+                                1)),
+          deadlineMs(getU64(req, "deadline_ms", 0))
+    {
+    }
+};
+
+/** Stream progress while advancing to completion; shared by run and
+ *  the finishing step of a session. When the deadline trips,
+ *  advancing stops at the current cycle boundary and false comes back
+ *  — the caller turns that into a structured "busy" error (the
+ *  session keeps its progress, so a client may simply retry). */
+bool
+streamToCompletion(SimEntry &e, const Kv &req, const Pace &pace)
+{
+    const std::uint64_t deadline_ms = pace.deadlineMs;
     const auto t0 = std::chrono::steady_clock::now();
-    while (!e.sys->advance(e.sys->now() + chunk)) {
+    while (!e.sys->advance(cyclesAfter(e.sys->now(), pace.chunk))) {
         if (deadline_ms) {
             const double elapsed =
                 std::chrono::duration<double, std::milli>(
@@ -903,17 +793,16 @@ cmdRun(Daemon &d, const Kv &req)
                   "busy", 100);
         return;
     }
+    const Pace pace(req);
     bool pool_hit = false;
     auto e = acquire(d, req, pool_hit);
-    if (!streamToCompletion(*e, req)) {
+    if (!streamToCompletion(*e, req, pace)) {
         // Deadline tripped mid-run: the one-shot run is abandoned.
         sendError(req,
                   "deadline_ms exceeded at cycle " +
                       std::to_string(e->sys->now()) +
                       " before completion",
-                  "busy",
-                  static_cast<std::int64_t>(
-                      getU64(req, "deadline_ms", 0)));
+                  "busy", static_cast<std::int64_t>(pace.deadlineMs));
         return;
     }
     const RunResult res = e->sys->finalize();
@@ -933,7 +822,7 @@ cmdSweep(Daemon &, const Kv &req)
         pairs = workloads::opencvPairs();
     else {
         const auto all = workloads::allPairs();
-        for (const std::string &token : splitCommas(pair_spec))
+        for (const std::string &token : cliopts::splitCommas(pair_spec))
             for (const auto &p : all)
                 if (p.label == token)
                     pairs.push_back(p);
@@ -952,18 +841,25 @@ cmdSweep(Daemon &, const Kv &req)
         throw std::runtime_error("unknown policy: " + pol);
     }
 
-    auto jobs = runner::pairSweepJobs(
-        pairs, policies, getU64(req, "max_cycles", 40'000'000));
+    // The run keys go through the rows every tool shares; a sweep
+    // honours max_cycles, fast_forward, watchdog_cycles, fault_plan
+    // and fault_seed.
+    runner::JobSpec run;
+    unsigned clusters = 1;
+    unsigned cores = 2;
+    cliopts::OptionSet rows("occamy-serve", "sweep request keys");
+    runner::addRunOptions(rows, run, clusters, cores);
+    applyKeys(rows, req);
+    runner::RunnerOptions ropt;
+    ropt.numThreads = static_cast<unsigned>(getU64(req, "jobs", 0));
+    auto jobs = runner::pairSweepJobs(pairs, policies, run.maxCycles);
     for (auto &spec : jobs) {
-        spec.fastForward = getBool(req, "fast_forward", true);
-        spec.watchdogCycles = getU64(req, "watchdog_cycles", 0);
-        spec.faultPlan = getStr(req, "fault_plan");
-        spec.faultSeed = getU64(req, "fault_seed", 0);
+        spec.fastForward = run.fastForward;
+        spec.watchdogCycles = run.watchdogCycles;
+        spec.faultPlan = run.faultPlan;
+        spec.faultSeed = run.faultSeed;
     }
 
-    runner::RunnerOptions ropt;
-    ropt.numThreads =
-        static_cast<unsigned>(getU64(req, "jobs", 0));
     // Progress callbacks land on this (coordinating) thread, so the
     // NDJSON stream stays well-formed.
     ropt.onProgress = [&req](const runner::Progress &p) {
@@ -1032,7 +928,7 @@ cmdStep(Daemon &d, const Kv &req)
 {
     SimEntry &e = needSession(d);
     const Cycle cycles = getU64(req, "cycles", 100'000);
-    const bool finished = e.sys->advance(e.sys->now() + cycles);
+    const bool finished = e.sys->advance(cyclesAfter(e.sys->now(), cycles));
     Reply r(req);
     r.boolean("ok", true)
         .str("event", "stepped")
@@ -1049,16 +945,15 @@ void
 cmdFinalize(Daemon &d, const Kv &req)
 {
     SimEntry &e = needSession(d);
-    if (!streamToCompletion(e, req)) {
+    const Pace pace(req);
+    if (!streamToCompletion(e, req, pace)) {
         // The session keeps its progress; the client may finalize
         // again (possibly with a larger deadline).
         sendError(req,
                   "deadline_ms exceeded at cycle " +
                       std::to_string(e.sys->now()) +
                       "; session kept, retry finalize",
-                  "busy",
-                  static_cast<std::int64_t>(
-                      getU64(req, "deadline_ms", 0)));
+                  "busy", static_cast<std::int64_t>(pace.deadlineMs));
         return;
     }
     const RunResult res = e.sys->finalize();
@@ -1126,7 +1021,7 @@ cmdRestore(Daemon &d, const Kv &req)
     std::ifstream is(file, std::ios::binary);
     if (!is)
         throw std::runtime_error("cannot open " + file);
-    auto e = makeEntry(req, /*boot=*/false);
+    auto e = makeEntry(parseRequest(req), /*boot=*/false);
     e->sys->restoreCheckpoint(is, e->opt);
     d.session = std::move(e);
     d.sessionSpec = req;

@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "obs/events.hh"
 #include "obs/export.hh"
 #include "policy/sharing_model.hh"
+#include "runner/build.hh"
 #include "runner/runner.hh"
 #include "runner/sweep.hh"
 #include "sim/system.hh"
@@ -50,7 +50,6 @@ struct Options
     std::string pair = "6+16";
     bool opencv = false;
     std::vector<std::string> batch;
-    Cycle maxCycles = 40'000'000;
     unsigned jobs = 0;          // runner threads; 0 = runner default
     std::string jsonOut;
     bool timeline = false;
@@ -59,38 +58,10 @@ struct Options
     std::string csvPrefix;
     std::string traceOut;
     std::string traceEvents = "all";
-    Cycle snapshotEvery = 0;
-    bool fastForward = true;
     bool strictTimeout = false;
-    std::string faultPlan;
-    std::uint64_t faultSeed = 0;
-    Cycle watchdogCycles = 0;
-    std::string checkpointOut;
-    Cycle checkpointEvery = 0;
-    std::string restoreFrom;
-    unsigned simThreads = 1;
+    /** Every run's options; each policy's job starts as a copy. */
+    runner::JobSpec run;
 };
-
-std::optional<SharingPolicy>
-parsePolicy(const std::string &s)
-{
-    if (const policy::SharingModel *m = policy::modelByName(s))
-        return m->id();
-    return std::nullopt;
-}
-
-workloads::Workload
-lookupWorkload(const std::string &token)
-{
-    if (token.rfind("CV", 0) == 0)
-        return workloads::opencvWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    if (token.rfind("WL", 0) == 0)
-        return workloads::specWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    return workloads::specWorkload(
-        static_cast<unsigned>(std::atoi(token.c_str())));
-}
 
 /** The whole flag surface, declared once. */
 cliopts::OptionSet
@@ -109,30 +80,15 @@ optionTable(Options &opt)
                            opt.policies.push_back(m->id());
                        return true;
                    }
-                   if (auto p = parsePolicy(v)) {
-                       opt.policies = {*p};
-                       return true;
-                   }
-                   err = "unknown policy: " + v +
-                         " (see --list-policies)";
-                   return false;
+                   opt.policies.resize(1);
+                   return runner::parsePolicy(v, opt.policies[0], err);
                })
-        .custom("topology", "CxK",
-                "C co-processor clusters of K cores each (default\n"
-                "1x2); clustered machines add the inter-cluster\n"
-                "bandwidth arbiter and work migration",
-                [&opt](const std::string &v, std::string &err) {
-                    return cliopts::parseTopology(v, opt.clusters,
-                                                  opt.cores, err);
-                })
         .custom("cores", "N",
                 "number of scalar cores (default 2); shorthand for\n"
                 "--topology 1xN",
                 [&opt](const std::string &v, std::string &err) {
                     std::uint64_t n = 0;
-                    char *end = nullptr;
-                    n = std::strtoull(v.c_str(), &end, 10);
-                    if (v.empty() || *end != '\0' || n == 0) {
+                    if (!cliopts::parseUnsigned(v, n) || n == 0) {
                         err = "--cores wants a positive integer, got \"" +
                               v + "\"";
                         return false;
@@ -148,23 +104,9 @@ optionTable(Options &opt)
         .custom("batch", "L",
                 "comma-separated WLn/CVn list, FCFS scheduled",
                 [&opt](const std::string &v, std::string &) {
-                    opt.batch.clear();
-                    std::string item;
-                    for (const char *p = v.c_str();; ++p) {
-                        if (*p == ',' || *p == '\0') {
-                            if (!item.empty())
-                                opt.batch.push_back(item);
-                            item.clear();
-                            if (*p == '\0')
-                                break;
-                        } else {
-                            item.push_back(*p);
-                        }
-                    }
+                    opt.batch = cliopts::splitCommas(v);
                     return true;
                 })
-        .value("max-cycles", &opt.maxCycles, "N",
-               "simulation cap (default 4e7)")
         .value("jobs", &opt.jobs, "N",
                "run --policy all fan-out on N threads", 1)
         .value("json-out", &opt.jsonOut, "F",
@@ -183,56 +125,24 @@ optionTable(Options &opt)
                "categories to trace: comma list of phase,pipeline,\n"
                "partition,reconfig,mem,sched,cluster or 'all'\n"
                "(default all; needs --trace-out)")
-        .value("snapshot-every", &opt.snapshotEvery, "N",
-               "metric snapshot each N cycles, rendered as counter\n"
-               "tracks in the Chrome trace")
-        .onOff("fast-forward", &opt.fastForward,
-               "skip quiescent cycle spans (default on; results are\n"
-               "identical either way)")
         .flag("strict-timeout", &opt.strictTimeout,
               "exit 3 (with a stderr note) if any run hit the\n"
               "--max-cycles cap")
-        .value("fault-plan", &opt.faultPlan, "S",
-               "deterministic fault plan, entries ';'-joined:\n"
-               "lane@CYC:bu=N | vldeny@CYC+DUR:core=N |\n"
-               "dram@CYC+DUR:lat=N,bw=N |\n"
-               "cfgdelay@CYC+DUR:core=N,cycles=N")
-        .value("fault-seed", &opt.faultSeed, "N",
-               "seeded random fault plan (ignored when --fault-plan\n"
-               "is given); same seed, same plan")
-        .value("watchdog-cycles", &opt.watchdogCycles, "N",
-               "escalate a <VL> retry spin older than N cycles to\n"
-               "the scalar fallback (default off)")
-        .value("checkpoint-out", &opt.checkpointOut, "F",
+        .value("checkpoint-out", &opt.run.checkpointOut, "F",
                "checkpoint file; written every --checkpoint-every\n"
                "cycles (single-policy runs only; both flags required)")
-        .value("checkpoint-every", &opt.checkpointEvery, "N",
+        .value("checkpoint-every", &opt.run.checkpointEvery, "N",
                "overwrite --checkpoint-out every N cycles (the file\n"
                "holds the latest snapshot)")
-        .value("restore", &opt.restoreFrom, "F",
+        .value("restore", &opt.run.restoreFrom, "F",
                "resume from checkpoint F instead of cycle 0;\n"
                "config/workloads/options must match the run that\n"
-               "wrote it (single-policy runs only)")
-        .value("sim-threads", &opt.simThreads, "N",
-               "tick clustered machines with N worker threads between\n"
-               "deterministic horizons; results are byte-identical\n"
-               "for any N (default 1 = serial)");
+               "wrote it (single-policy runs only)");
+    runner::addRunOptions(cli, opt.run, opt.clusters, opt.cores);
     cliopts::addListOptions(cli, cliopts::kListWorkloads |
                                      cliopts::kListPolicies);
     cli.alias("list", "list-workloads");
     return cli;
-}
-
-/** Machine for one policy under the selected topology: the flat path
- *  keeps the forPolicy presets byte-for-byte. */
-MachineConfig
-makeConfig(SharingPolicy policy, const Options &opt)
-{
-    if (opt.clusters == 1)
-        return MachineConfig::forPolicy(policy, opt.cores);
-    return MachineConfig::Builder(policy)
-        .topology(opt.clusters, opt.cores)
-        .build();
 }
 
 void
@@ -241,7 +151,7 @@ printRun(SharingPolicy policy, const RunResult &r, const Options &opt)
     std::printf("\n=== %s ===\n", policyName(policy));
     if (r.timedOut)
         std::printf("  (hit the %llu-cycle cap)\n",
-                    static_cast<unsigned long long>(opt.maxCycles));
+                    static_cast<unsigned long long>(opt.run.maxCycles));
     for (std::size_t c = 0; c < r.cores.size(); ++c) {
         const auto &core = r.cores[c];
         std::printf("core%zu %-10s finish=%llu cycles, %llu SIMD "
@@ -325,7 +235,7 @@ main(int argc, char **argv)
     }
 
     // Checkpoint files name one run's state, so tie them to one policy.
-    if ((!opt.checkpointOut.empty() || !opt.restoreFrom.empty()) &&
+    if ((!opt.run.checkpointOut.empty() || !opt.run.restoreFrom.empty()) &&
         opt.policies.size() != 1) {
         std::fprintf(stderr, "--checkpoint-out/--restore need a single "
                              "--policy (not 'all')\n");
@@ -351,24 +261,14 @@ main(int argc, char **argv)
     std::vector<runner::JobSpec> jobs;
     try {
         for (SharingPolicy policy : opt.policies) {
-            runner::JobSpec spec;
+            runner::JobSpec spec = opt.run;
             spec.id = jobs.size();
             spec.label = opt.batch.empty()
                              ? opt.pair + "/" + policyName(policy)
                              : "batch/" + std::string(policyName(policy));
-            spec.cfg = makeConfig(policy, opt);
-            spec.maxCycles = opt.maxCycles;
-            spec.fastForward = opt.fastForward;
-            spec.faultPlan = opt.faultPlan;
-            spec.faultSeed = opt.faultSeed;
-            spec.watchdogCycles = opt.watchdogCycles;
-            spec.checkpointOut = opt.checkpointOut;
-            spec.checkpointEvery = opt.checkpointEvery;
-            spec.restoreFrom = opt.restoreFrom;
-            spec.simThreads = opt.simThreads;
+            spec.cfg = runner::machineFor(policy, opt.clusters, opt.cores);
             if (!opt.traceOut.empty())
                 spec.traceEvents = obs::parseEventMask(opt.traceEvents);
-            spec.snapshotEvery = opt.snapshotEvery;
             if (opt.batch.empty()) {
                 const workloads::Workload w0 =
                     opt.opencv ? workloads::opencvWorkload(a)
@@ -381,7 +281,8 @@ main(int argc, char **argv)
                     spec.workloads.emplace_back(w1.name, w1.loops);
             } else {
                 for (const auto &token : opt.batch) {
-                    const workloads::Workload w = lookupWorkload(token);
+                    const workloads::Workload w =
+                        workloads::lookupWorkload(token);
                     spec.batch.emplace_back(w.name, w.loops);
                 }
             }
@@ -406,7 +307,7 @@ main(int argc, char **argv)
                          j.error.c_str());
         printRun(opt.policies[i], j.result, opt);
         // Keep the machine-readable --json stdout stream clean.
-        if (opt.fastForward && !opt.json && j.ff.cyclesTicked)
+        if (opt.run.fastForward && !opt.json && j.ff.cyclesTicked)
             std::printf("engine: ticked %llu of %llu cycles "
                         "(%.1fx fast-forward, %llu spans)\n",
                         static_cast<unsigned long long>(j.ff.cyclesTicked),
@@ -459,7 +360,8 @@ main(int argc, char **argv)
                          "%zu run(s) hit the %llu-cycle cap "
                          "(--strict-timeout)\n",
                          timed_out,
-                         static_cast<unsigned long long>(opt.maxCycles));
+                         static_cast<unsigned long long>(
+                             opt.run.maxCycles));
             return 3;
         }
     }
