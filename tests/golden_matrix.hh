@@ -6,12 +6,14 @@
  *
  * The matrix is a small pair x policy grid chosen to exercise both a
  * compute+memory pairing that triggers elastic repartitioning (6+16)
- * and one that stays stable (1+13), under the no-sharing baseline and
- * the full elastic policy. The pinned artifact for each cell is the
- * canonical trace::toJson() rendering of the RunResult: any behavioral
- * drift in the simulator — timing, partitioning, stats — shows up as a
- * golden diff and must be either fixed or consciously re-pinned with
- * the regeneration tool (see tools/occamy_regen_golden.cc).
+ * and one that stays stable (1+13), under the no-sharing baseline,
+ * fine temporal sharing (the shared-budget round-robin issue loop),
+ * static spatial sharing and the full elastic policy. The pinned
+ * artifact for each cell is the canonical trace::toJson() rendering
+ * of the RunResult: any behavioral drift in the simulator — timing,
+ * partitioning, stats — shows up as a golden diff and must be either
+ * fixed or consciously re-pinned with the regeneration tool (see
+ * tools/occamy_regen_golden.cc).
  */
 
 #ifndef OCCAMY_TESTS_GOLDEN_MATRIX_HH
@@ -39,7 +41,8 @@ goldenPairLabels()
 inline std::vector<SharingPolicy>
 goldenPolicies()
 {
-    return {SharingPolicy::Private, SharingPolicy::Elastic};
+    return {SharingPolicy::Private, SharingPolicy::Temporal,
+            SharingPolicy::StaticSpatial, SharingPolicy::Elastic};
 }
 
 /** Build the job list of the matrix, pair-major like pairSweepJobs. */
