@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <ostream>
 #include <stdexcept>
 
@@ -14,6 +15,13 @@ namespace occamy
 
 namespace
 {
+
+/** Insert @p seq into the age-ordered list @p v. */
+inline void
+insertInAgeOrder(std::vector<SeqNum> &v, SeqNum seq)
+{
+    v.insert(std::upper_bound(v.begin(), v.end(), seq), seq);
+}
 
 /** Build a pipeline event for @p inst (dispatch/issue/retire). */
 inline obs::Event
@@ -50,6 +58,7 @@ CoProcessor::CoProcessor(const MachineConfig &cfg, MemSystem &mem)
     for (unsigned c = 0; c < cfg.numCores; ++c)
         cores_.emplace_back(core_cfg);
     busy_lanes_.assign(cfg.numCores, 0);
+    waiters_.resize(regfile_.physCount());
 
     // Boot-time lane ownership.
     switch (model_.bootOwnership()) {
@@ -373,24 +382,16 @@ CoProcessor::tryIssue(CoreId c, SeqNum seq, Cycle now,
     DynInst &inst = robEntry(cs, seq);
     assert(!inst.issued);
 
-    auto operandsReady = [&](const DynInst &di) {
-        for (unsigned i = 0; i < di.nsrc; ++i) {
-            if (di.srcPhys[i] >= 0 &&
-                regfile_.readyAt(di.srcPhys[i]) > now) {
-                return false;
-            }
-        }
-        return true;
-    };
-
     if (inst.isCompute()) {
-        if (compute_budget == 0 || !operandsReady(inst))
+        if (compute_budget == 0)
             return false;
         --compute_budget;
         inst.issued = true;
         inst.readyCycle = now + computeLatency(inst.op, cfg_.fpLatency);
-        if (inst.dstPhys >= 0)
+        if (inst.dstPhys >= 0) {
             regfile_.setReadyAt(inst.dstPhys, inst.readyCycle);
+            wakeDependents(inst.dstPhys, now);
+        }
         busy_lanes_[c] += inst.activeLanes;
         ++cs.computeIssued;
         if (inst.phaseId >= cs.phaseCompute.size())
@@ -411,7 +412,7 @@ CoProcessor::tryIssue(CoreId c, SeqNum seq, Cycle now,
     if (strided && mem_budget < cfg_.memIssueWidth)
         return false;
     if (inst.isStore()) {
-        if (!lsu.canIssueStore() || !operandsReady(inst))
+        if (!lsu.canIssueStore())
             return false;
         mem_budget -= strided ? cfg_.memIssueWidth : 1;
         inst.issued = true;
@@ -430,8 +431,10 @@ CoProcessor::tryIssue(CoreId c, SeqNum seq, Cycle now,
                                       inst.stride, inst.activeElems,
                                       now)
                     : lsu.issueLoad(mem_, inst.addr, inst.bytes, now);
-        if (inst.dstPhys >= 0)
+        if (inst.dstPhys >= 0) {
             regfile_.setReadyAt(inst.dstPhys, inst.readyCycle);
+            wakeDependents(inst.dstPhys, now);
+        }
     }
     ++cs.memIssued;
     if (sink_ && sink_->wants(obs::EventKind::Issue))
@@ -439,9 +442,31 @@ CoProcessor::tryIssue(CoreId c, SeqNum seq, Cycle now,
     return true;
 }
 
+bool
+CoProcessor::issueReady(CoreId c, std::size_t k, Cycle now,
+                        unsigned &compute_budget, unsigned &mem_budget)
+{
+    CoreState &cs = cores_[c];
+    const SeqNum seq = cs.ready[k];
+    if (!tryIssue(c, seq, now, compute_budget, mem_budget))
+        return false;
+    // Only ready-list entries issue, so their operands are readable.
+    assert(operandsReadyAt(robEntry(cs, seq)) <= now);
+    // A zero-latency wakeup inside tryIssue inserts only younger
+    // entries, i.e. behind position k.
+    cs.ready.erase(cs.ready.begin() + static_cast<std::ptrdiff_t>(k));
+    cs.iq.erase(std::lower_bound(cs.iq.begin(), cs.iq.end(), seq));
+    return true;
+}
+
 void
 CoProcessor::issueStage(Cycle now)
 {
+    // The loops below walk only the ready lists, in the same age order
+    // as the IQs; every entry they skip is one whose operands are not
+    // readable yet, which the full IQ scan would reject without side
+    // effects (DESIGN.md "Event-driven issue").
+    drainWakeups(now);
     if (model_.sharedIssueBudgets()) {
         // One full-width unit: issue budgets shared by all cores,
         // arbitrated round-robin for fairness.
@@ -449,7 +474,8 @@ CoProcessor::issueStage(Cycle now)
         unsigned mem_budget = cfg_.memIssueWidth;
         const unsigned n = static_cast<unsigned>(cores_.size());
         bool progress = true;
-        std::vector<std::size_t> cursor(n, 0);
+        for (CoreState &cs : cores_)
+            cs.cursor = 0;
         while (progress && (compute_budget > 0 || mem_budget > 0)) {
             progress = false;
             for (unsigned i = 0; i < n; ++i) {
@@ -457,12 +483,10 @@ CoProcessor::issueStage(Cycle now)
                     static_cast<CoreId>((rr_start_ + i) % n);
                 CoreState &cs = cores_[c];
                 // Find the next issueable entry for this core.
-                for (std::size_t k = cursor[c]; k < cs.iq.size(); ++k) {
-                    if (tryIssue(c, cs.iq[k], now, compute_budget,
-                                 mem_budget)) {
-                        cs.iq.erase(cs.iq.begin() +
-                                    static_cast<std::ptrdiff_t>(k));
-                        cursor[c] = k;
+                for (std::size_t k = cs.cursor; k < cs.ready.size(); ++k) {
+                    if (issueReady(c, k, now, compute_budget,
+                                   mem_budget)) {
+                        cs.cursor = k;
                         progress = true;
                         break;
                     }
@@ -477,18 +501,89 @@ CoProcessor::issueStage(Cycle now)
                 continue;
             unsigned compute_budget = cfg_.computeIssueWidth;
             unsigned mem_budget = cfg_.memIssueWidth;
-            for (std::size_t k = 0; k < cs.iq.size();) {
+            for (std::size_t k = 0; k < cs.ready.size();) {
                 if (compute_budget == 0 && mem_budget == 0)
                     break;
-                if (tryIssue(static_cast<CoreId>(c), cs.iq[k], now,
-                             compute_budget, mem_budget)) {
-                    cs.iq.erase(cs.iq.begin() +
-                                static_cast<std::ptrdiff_t>(k));
-                } else {
+                if (!issueReady(static_cast<CoreId>(c), k, now,
+                                compute_budget, mem_budget))
                     ++k;
-                }
             }
         }
+    }
+}
+
+Cycle
+CoProcessor::operandsReadyAt(const DynInst &inst) const
+{
+    // Loads never wait on operands (the ld/st path models no address
+    // dependence), only on LSU capacity.
+    if (!inst.isCompute() && !inst.isStore())
+        return 0;
+    Cycle at = 0;
+    for (unsigned i = 0; i < inst.nsrc; ++i)
+        if (inst.srcPhys[i] >= 0)
+            at = std::max(at, regfile_.readyAt(inst.srcPhys[i]));
+    return at;
+}
+
+void
+CoProcessor::track(CoreId c, DynInst &inst, Cycle ready_by)
+{
+    inst.pendingSrcs = 0;
+    if (inst.isCompute() || inst.isStore()) {
+        for (unsigned i = 0; i < inst.nsrc; ++i) {
+            const std::int32_t p = inst.srcPhys[i];
+            if (p >= 0 && regfile_.readyAt(p) == kCycleNever) {
+                waiters_[static_cast<std::size_t>(p)].push_back(
+                    {c, inst.seq});
+                ++inst.pendingSrcs;
+            }
+        }
+        if (inst.pendingSrcs > 0)
+            return;
+    }
+    const Cycle at = operandsReadyAt(inst);
+    if (at <= ready_by) {
+        cores_[c].ready.push_back(inst.seq);
+    } else {
+        wakeups_.push_back({at, {c, inst.seq}});
+        std::push_heap(wakeups_.begin(), wakeups_.end(),
+                       std::greater<>{});
+    }
+}
+
+void
+CoProcessor::wakeDependents(std::int32_t phys, Cycle now)
+{
+    std::vector<IqRef> &list = waiters_[static_cast<std::size_t>(phys)];
+    for (const IqRef &w : list) {
+        DynInst &d = robEntry(cores_[w.core], w.seq);
+        assert(d.pendingSrcs > 0);
+        if (--d.pendingSrcs > 0)
+            continue;
+        const Cycle at = operandsReadyAt(d);
+        if (at > now) {
+            wakeups_.push_back({at, w});
+            std::push_heap(wakeups_.begin(), wakeups_.end(),
+                           std::greater<>{});
+        } else {
+            // Zero-latency producer: the consumer is younger, so the
+            // issue loop still reaches it this cycle, as a full IQ
+            // scan would.
+            insertInAgeOrder(cores_[w.core].ready, w.seq);
+        }
+    }
+    list.clear();
+}
+
+void
+CoProcessor::drainWakeups(Cycle now)
+{
+    while (!wakeups_.empty() && wakeups_.front().at <= now) {
+        std::pop_heap(wakeups_.begin(), wakeups_.end(), std::greater<>{});
+        const IqRef w = wakeups_.back().ref;
+        wakeups_.pop_back();
+        insertInAgeOrder(cores_[w.core].ready, w.seq);
     }
 }
 
@@ -534,6 +629,8 @@ CoProcessor::renameStage(Cycle now)
             inst.seq = seq;
             cs.iq.push_back(seq);
             cs.rob.push_back(inst);
+            // The next issue stage runs at now + 1 or later.
+            track(c, cs.rob.back(), now + 1);
             if (sink_ && sink_->wants(obs::EventKind::Dispatch))
                 sink_->record(pipeEvent(now, obs::EventKind::Dispatch,
                                         cs.rob.back()));
@@ -907,8 +1004,123 @@ CoProcessor::io(Ar &ar)
     ar.u64(em_insts_);
     ar.u64(plans_published_);
     ar.u64(lane_faults_);
+
+    if constexpr (Ar::kLoading)
+        rebuildIssueTracking();
 }
 OCCAMY_CKPT_IO(CoProcessor);
+
+void
+CoProcessor::rebuildIssueTracking()
+{
+    // Runs before the checksum trailer is verified, so every value it
+    // indexes with is checked rather than trusted.
+    waiters_.assign(regfile_.physCount(), {});
+    wakeups_.clear();
+    for (unsigned c = 0; c < cores_.size(); ++c) {
+        CoreState &cs = cores_[c];
+        cs.ready.clear();
+        SeqNum prev = 0;
+        for (std::size_t i = 0; i < cs.iq.size(); ++i) {
+            const SeqNum seq = cs.iq[i];
+            ckpt::Reader::check(seq >= cs.robBase &&
+                                    seq - cs.robBase < cs.rob.size() &&
+                                    (i == 0 || seq > prev),
+                                "checkpoint issue queue out of order or "
+                                "outside the ROB");
+            prev = seq;
+            DynInst &inst = robEntry(cs, seq);
+            ckpt::Reader::check(inst.seq == seq && !inst.issued &&
+                                    (inst.isCompute() || inst.isMem()) &&
+                                    inst.nsrc <= inst.srcPhys.size(),
+                                "checkpoint issue-queue entry corrupt");
+            for (unsigned k = 0; k < inst.nsrc; ++k)
+                ckpt::Reader::check(inst.srcPhys[k] <
+                                        static_cast<std::int64_t>(
+                                            regfile_.physCount()),
+                                    "checkpoint source register out of "
+                                    "range");
+            // Age order lets every due entry go straight onto the
+            // ready list; the rest wait in the heap or on sources.
+            track(static_cast<CoreId>(c), inst, 0);
+        }
+    }
+}
+
+std::string
+CoProcessor::issueTrackingError(Cycle now) const
+{
+    std::size_t pending_total = 0;
+    for (unsigned c = 0; c < cores_.size(); ++c) {
+        const CoreState &cs = cores_[c];
+        const std::string where = "core" + std::to_string(c) + ": ";
+        if (std::adjacent_find(cs.ready.begin(), cs.ready.end(),
+                               std::greater_equal<>{}) != cs.ready.end())
+            return where + "ready list not in strict age order";
+        if (std::adjacent_find(cs.iq.begin(), cs.iq.end(),
+                               std::greater_equal<>{}) != cs.iq.end())
+            return where + "IQ not in strict age order";
+        for (SeqNum seq : cs.ready)
+            if (!std::binary_search(cs.iq.begin(), cs.iq.end(), seq))
+                return where + "ready entry " + std::to_string(seq) +
+                       " is not in the IQ";
+        for (SeqNum seq : cs.iq) {
+            const std::string entry =
+                where + "entry " + std::to_string(seq) + ": ";
+            const DynInst &d =
+                cs.rob[static_cast<std::size_t>(seq - cs.robBase)];
+            const bool in_ready =
+                std::binary_search(cs.ready.begin(), cs.ready.end(), seq);
+            std::size_t in_heap = 0;
+            for (const Wakeup &w : wakeups_) {
+                if (w.ref.core != c || w.ref.seq != seq)
+                    continue;
+                ++in_heap;
+                if (w.at <= now || w.at != operandsReadyAt(d))
+                    return entry + "heap key " + std::to_string(w.at) +
+                           " is stale";
+            }
+            if (in_ready + in_heap + (d.pendingSrcs > 0) != 1)
+                return entry + "not tracked exactly once";
+            // Pending sources: the unproduced ones, each with this
+            // entry on its wakeup list once per use.
+            unsigned pending = 0;
+            if (d.isCompute() || d.isStore()) {
+                for (unsigned i = 0; i < d.nsrc; ++i) {
+                    const std::int32_t p = d.srcPhys[i];
+                    if (p < 0 || regfile_.readyAt(p) != kCycleNever)
+                        continue;
+                    ++pending;
+                    const auto &list = waiters_[static_cast<std::size_t>(p)];
+                    const auto listed = std::count_if(
+                        list.begin(), list.end(), [&](const IqRef &w) {
+                            return w.core == c && w.seq == seq;
+                        });
+                    const auto uses = std::count(
+                        d.srcPhys.begin(), d.srcPhys.begin() + d.nsrc, p);
+                    if (listed != uses)
+                        return entry + "missing from the wakeup list of "
+                                       "register " + std::to_string(p);
+                }
+            }
+            if (pending != d.pendingSrcs)
+                return entry + "pending-source count " +
+                       std::to_string(d.pendingSrcs) + ", expected " +
+                       std::to_string(pending);
+            if (in_ready && operandsReadyAt(d) > now + 1)
+                return entry + "on the ready list before its operands";
+            pending_total += pending;
+        }
+    }
+    std::size_t listed_total = 0;
+    for (const auto &list : waiters_)
+        listed_total += list.size();
+    if (listed_total != pending_total)
+        return "wakeup lists hold " + std::to_string(listed_total) +
+               " entries for " + std::to_string(pending_total) +
+               " pending sources";
+    return {};
+}
 
 void
 CoProcessor::printState(std::ostream &os, const std::string &what) const
@@ -946,10 +1158,21 @@ CoProcessor::printState(std::ostream &os, const std::string &what) const
         if (c >= cores_.size())
             throw std::out_of_range("no such core: " + what);
         const CoreState &cs = cores_[c];
+        const auto scheduled = std::count_if(
+            wakeups_.begin(), wakeups_.end(),
+            [c](const Wakeup &w) { return w.ref.core == c; });
+        const auto waiting = std::count_if(
+            cs.iq.begin(), cs.iq.end(), [&cs](SeqNum seq) {
+                return cs.rob[static_cast<std::size_t>(seq - cs.robBase)]
+                           .pendingSrcs > 0;
+            });
         os << "pool " << cs.pool.size() << '\n'
            << "rob " << cs.rob.size() << '\n'
            << "rob_base " << cs.robBase << '\n'
            << "iq " << cs.iq.size() << '\n'
+           << "iq_ready " << cs.ready.size() << '\n'
+           << "iq_scheduled " << scheduled << '\n'
+           << "iq_waiting " << waiting << '\n'
            << "emq " << cs.emq.size() << '\n'
            << "lq " << cs.lsu.loadQueueOccupancy() << '\n'
            << "sq " << cs.lsu.storeQueueOccupancy() << '\n'

@@ -163,6 +163,16 @@ class CoProcessor
      *  per-core pipeline structure (pool/ROB/IQ/LSU/EMQ). */
     template <class Ar> void io(Ar &ar);
 
+    /**
+     * Consistency check of the derived issue tracking (wakeup lists,
+     * wakeup heap, ready lists) after the tick of cycle @p now: every
+     * IQ entry sits in exactly one of {ready list, heap, waiting on
+     * sources}, each ready list is an age-ordered subset of its IQ,
+     * and pending-source counts match the register file. @return an
+     * empty string when consistent, else the first violation.
+     */
+    std::string issueTrackingError(Cycle now) const;
+
     /** One-line-per-fact state dump for live inspection. @p what
      *  selects a sub-component: "" (summary), "rt", "lanemgr",
      *  "regfile", or a decimal core id for that core's pipeline. */
@@ -188,7 +198,12 @@ class CoProcessor
         InstRing pool;                  ///< Instruction pool (FIFO).
         InstRing rob;                   ///< Renamed, program order.
         SeqNum robBase = 0;             ///< seq of rob.front().
-        std::vector<SeqNum> iq;         ///< Awaiting issue.
+        std::vector<SeqNum> iq;         ///< Awaiting issue, age order.
+        /** The IQ entries whose operands are ready, age order: the
+         *  only entries the issue stage visits (derived from iq and
+         *  the register file, never checkpointed). */
+        std::vector<SeqNum> ready;
+        std::size_t cursor = 0;         ///< FTS issue scan position.
         Lsu lsu;
         InstRing emq;                   ///< EM-SIMD in-order queue.
 
@@ -226,6 +241,32 @@ class CoProcessor
     bool tryIssue(CoreId c, SeqNum seq, Cycle now, unsigned &compute_budget,
                   unsigned &mem_budget);
 
+    /** Try to issue entry @p k of core @p c's ready list; on success
+     *  drop it from the ready list and the IQ. */
+    bool issueReady(CoreId c, std::size_t k, Cycle now,
+                    unsigned &compute_budget, unsigned &mem_budget);
+
+    /** Event-driven issue (DESIGN.md "Event-driven issue"): a renamed
+     *  entry waits on the wakeup list of every source whose producer
+     *  has not issued, then is scheduled for the ready list at the
+     *  cycle its last source becomes readable. Entries due by
+     *  @p ready_by go straight onto the ready list, which must then
+     *  hold only older entries. */
+    void track(CoreId c, DynInst &inst, Cycle ready_by);
+
+    /** Cycle from which @p inst may issue as far as operands go. */
+    Cycle operandsReadyAt(const DynInst &inst) const;
+
+    /** Producer of @p phys issued at @p now: wake its waiters. */
+    void wakeDependents(std::int32_t phys, Cycle now);
+
+    /** Move heap entries due by @p now onto the ready lists. */
+    void drainWakeups(Cycle now);
+
+    /** Rebuild the derived issue tracking from the IQs and the
+     *  register file (checkpoint restore). */
+    void rebuildIssueTracking();
+
     /** Execute the head EM-SIMD instruction of core @p c.
      *  @return true if it retired (pop it). */
     bool execEmSimd(CoreId c, const DynInst &inst, Cycle now);
@@ -256,6 +297,27 @@ class CoProcessor
 
     std::vector<CoreState> cores_;
     std::vector<unsigned> busy_lanes_;  ///< Per core, this cycle.
+
+    /** An IQ entry, named by core and sequence number. */
+    struct IqRef
+    {
+        CoreId core;
+        SeqNum seq;
+    };
+
+    /** An operand-complete IQ entry and the cycle it becomes ready. */
+    struct Wakeup
+    {
+        Cycle at;
+        IqRef ref;
+        bool operator>(const Wakeup &o) const { return at > o.at; }
+    };
+
+    /** Per physical row: IQ entries waiting for its producer. */
+    std::vector<std::vector<IqRef>> waiters_;
+    /** Min-heap on Wakeup::at of entries not yet on a ready list. */
+    std::vector<Wakeup> wakeups_;
+
     unsigned rr_start_ = 0;             ///< FTS round-robin pointer.
 
     stats::Counter vl_switches_;

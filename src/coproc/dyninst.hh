@@ -62,6 +62,10 @@ struct DynInst
     bool issued = false;
     bool completed = false;
 
+    /** Sources whose producer has not issued yet (derived issue-queue
+     *  tracking, never checkpointed; see CoProcessor::track). */
+    std::uint8_t pendingSrcs = 0;
+
     bool isCompute() const { return isVCompute(op); }
     bool isMem() const { return isVMem(op); }
     bool isStore() const { return op == Opcode::VStore; }

@@ -51,6 +51,9 @@ class RegFileModel
      *  (-1 if none), which the ROB frees at commit. */
     std::int32_t rename(CoreId c, int arch, std::int32_t phys);
 
+    /** Physical rows across all pools (global ids 0 .. physCount()-1). */
+    std::size_t physCount() const { return ready_.size(); }
+
     /** Readiness of a physical row's value. */
     Cycle readyAt(std::int32_t phys) const { return ready_.at(phys); }
     void setReadyAt(std::int32_t phys, Cycle c) { ready_.at(phys) = c; }

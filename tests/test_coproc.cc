@@ -7,9 +7,17 @@
  * ordering rules of Table 2 that the hardware owns.
  */
 
+#include <random>
+#include <sstream>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "coproc/coproc.hh"
+#include "obs/sink.hh"
+#include "sim/system.hh"
+#include "sim/trace.hh"
+#include "workloads/suite.hh"
 
 namespace occamy
 {
@@ -67,6 +75,28 @@ class CoprocTest : public ::testing::Test
         d.activeLanes = 16;
         d.enqueueCycle = now;
         return d;
+    }
+
+    DynInst
+    store(CoreId core, std::int16_t src, Addr addr)
+    {
+        DynInst d = load(core, -1, addr);
+        d.op = Opcode::VStore;
+        d.srcArch[d.nsrc++] = src;
+        return d;
+    }
+
+    /** Issue cycle of each instruction @p sink saw, by sequence number
+     *  (kCycleNever for one that never issued). */
+    static std::vector<Cycle>
+    issueCycles(const obs::RingSink &sink, CoreId core, std::size_t n)
+    {
+        std::vector<Cycle> at(n, kCycleNever);
+        for (const obs::Event &ev : sink.snapshot().events)
+            if (ev.kind == obs::EventKind::Issue && ev.core == core &&
+                ev.b < n)
+                at[ev.b] = ev.cycle;
+        return at;
     }
 
     DynInst
@@ -355,6 +385,186 @@ TEST_F(CoprocTest, VlSwitchResetsRegisterState)
     run(60);
     EXPECT_TRUE(cp->coreDrained(0));
     EXPECT_EQ(cp->computeIssued(0), 2u);
+}
+
+TEST_F(CoprocTest, WakeupIssuesEachConsumerAtItsProducersReadyCycle)
+{
+    build(SharingPolicy::Private);
+    obs::RingSink sink(1024, obs::kEvPipeline);
+    cp->setEventSink(&sink);
+    // z0 = [A]; z1 = z0 + z0; z2 = z1 + z1; [B] = z2.
+    cp->enqueue(load(0, 0, 0x40000));
+    cp->enqueue(compute(0, 1, 0, 0));
+    cp->enqueue(compute(0, 2, 1, 1));
+    cp->enqueue(store(0, 2, 0x80000));
+    run(1000);
+    ASSERT_TRUE(cp->coreDrained(0));
+    const std::vector<Cycle> at = issueCycles(sink, 0, 4);
+    ASSERT_NE(at[0], kCycleNever);
+
+    // The load is the first access to a fresh memory system, so an
+    // identical one replays its data-ready cycle.
+    MemSystem replay(cfg);
+    const Cycle load_ready =
+        replay.access(0x40000, 64, /*is_write=*/false, at[0]).dataReady;
+    const Cycle add = computeLatency(Opcode::VFAdd, cfg.fpLatency);
+    EXPECT_EQ(at[1], load_ready);
+    EXPECT_EQ(at[2], at[1] + add);
+    EXPECT_EQ(at[3], at[2] + add);
+}
+
+TEST_F(CoprocTest, LoadIssuesWhileItsSourceIsPending)
+{
+    build(SharingPolicy::Private);
+    obs::RingSink sink(1024, obs::kEvPipeline);
+    cp->setEventSink(&sink);
+    // A long divide produces z0; a load naming z0 as a source does not
+    // wait for it (the ld/st path models no address dependence).
+    DynInst div = compute(0, 0);
+    div.op = Opcode::VFDiv;
+    cp->enqueue(div);
+    DynInst ld = load(0, 1, 0x40000);
+    ld.srcArch[ld.nsrc++] = 0;
+    cp->enqueue(ld);
+    run(200);
+    ASSERT_TRUE(cp->coreDrained(0));
+    const std::vector<Cycle> at = issueCycles(sink, 0, 2);
+    ASSERT_NE(at[0], kCycleNever);
+    ASSERT_NE(at[1], kCycleNever);
+    EXPECT_LT(at[1], at[0] + computeLatency(Opcode::VFDiv, cfg.fpLatency));
+}
+
+TEST_F(CoprocTest, ZeroLatencyConsumerIssuesInItsProducersCycle)
+{
+    cfg = MachineConfig::forPolicy(SharingPolicy::Private, 2);
+    cfg.prefetchDegree = 0;
+    cfg.fpLatency = 0;
+    mem = std::make_unique<MemSystem>(cfg);
+    cp = std::make_unique<CoProcessor>(cfg, *mem);
+    obs::RingSink sink(1024, obs::kEvPipeline);
+    cp->setEventSink(&sink);
+    cp->enqueue(compute(0, 0));
+    cp->enqueue(compute(0, 1, 0, 0));
+    run(60);
+    ASSERT_TRUE(cp->coreDrained(0));
+    const std::vector<Cycle> at = issueCycles(sink, 0, 2);
+    ASSERT_NE(at[0], kCycleNever);
+    EXPECT_EQ(at[1], at[0]);
+}
+
+/** Seeded two-core stream of loads, stores and (long and short)
+ *  computes over a few registers, so consumers both wait on unissued
+ *  producers and wake on the heap. The issue tracking must stay
+ *  consistent after every tick, under every sharing policy. */
+TEST_F(CoprocTest, IssueTrackingStaysConsistentOverAPairedRun)
+{
+    for (SharingPolicy policy :
+         {SharingPolicy::Private, SharingPolicy::Temporal,
+          SharingPolicy::StaticSpatial, SharingPolicy::Elastic}) {
+        build(policy);
+        now = 0;
+        if (policy == SharingPolicy::Elastic ||
+            policy == SharingPolicy::Temporal) {
+            for (CoreId c = 0; c < 2; ++c) {
+                cp->enqueueEmSimd(
+                    msrVl(c, policy == SharingPolicy::Temporal ? 8 : 4));
+                ASSERT_TRUE(awaitVl(c).ok);
+            }
+        }
+        std::mt19937 rng(20231018);
+        auto reg = [&rng] { return static_cast<std::int16_t>(rng() % 6); };
+        Addr addr = 0x100000;
+        std::uint64_t enqueued = 0;
+        for (unsigned i = 0; i < 3000; ++i) {
+            for (CoreId c = 0; c < 2; ++c) {
+                if (i >= 2500 || !cp->canEnqueue(c))
+                    continue;
+                DynInst d;
+                switch (rng() % 5) {
+                  case 0:
+                    d = load(c, reg(), addr += 4096);
+                    break;
+                  case 1:
+                    d = store(c, reg(), addr += 4096);
+                    break;
+                  case 2:
+                    d = compute(c, reg(), reg());
+                    d.op = Opcode::VFDiv;
+                    break;
+                  default:
+                    d = compute(c, reg(), reg(), reg());
+                    break;
+                }
+                cp->enqueue(d);
+                ++enqueued;
+            }
+            cp->tick(now);
+            const std::string err = cp->issueTrackingError(now);
+            ASSERT_EQ(err, "") << policyName(policy) << " at cycle " << now;
+            ++now;
+        }
+        run(2000);
+        EXPECT_TRUE(cp->coreDrained(0) && cp->coreDrained(1))
+            << policyName(policy);
+        EXPECT_EQ(cp->computeIssued(0) + cp->computeIssued(1) +
+                      cp->memIssued(0) + cp->memIssued(1),
+                  enqueued)
+            << policyName(policy);
+    }
+}
+
+/** Value of "key N" in an inspect dump (0 when absent). */
+long
+inspectField(const std::string &dump, const std::string &key)
+{
+    std::istringstream is(dump);
+    std::string k;
+    long v = 0;
+    while (is >> k >> v)
+        if (k == key)
+            return v;
+    return 0;
+}
+
+TEST_F(CoprocTest, CheckpointWithPendingWakeupsRestoresIdentically)
+{
+    build(SharingPolicy::Elastic);
+    auto prep = [](System &sys) {
+        for (CoreId c = 0; c < 2; ++c) {
+            workloads::Workload w =
+                workloads::lookupWorkload(c == 0 ? "6" : "16");
+            sys.setWorkload(c, w.name, w.loops);
+        }
+    };
+    RunOptions opt;
+    opt.maxCycles = 10'000'000;
+    System a(cfg);
+    prep(a);
+    a.boot(opt);
+    // Step until some core has entries both waiting on unissued
+    // producers and scheduled on the wakeup heap.
+    bool found = false;
+    for (Cycle at = 20'000; at < 40'000 && !found; ++at) {
+        a.advance(at);
+        for (CoreId c = 0; c < 2 && !found; ++c) {
+            const std::string dump =
+                a.inspect("system.coproc.core" + std::to_string(c));
+            found = inspectField(dump, "iq_waiting") > 0 &&
+                    inspectField(dump, "iq_scheduled") > 0;
+        }
+    }
+    ASSERT_TRUE(found);
+    std::ostringstream os(std::ios::binary);
+    a.saveCheckpoint(os);
+    a.advance();
+    const std::string want = trace::toJson(a.finalize());
+
+    System b(cfg);
+    prep(b);
+    std::istringstream is(os.str(), std::ios::binary);
+    b.restoreCheckpoint(is, opt);
+    b.advance();
+    EXPECT_EQ(trace::toJson(b.finalize()), want);
 }
 
 } // namespace
