@@ -1318,7 +1318,10 @@ System::finalize()
         x.now < x.opt.maxCycles ? x.now + 1 : x.opt.maxCycles;
     if (x.opt.ffStats)
         *x.opt.ffStats = x.ff;
-    result.cycles = std::max<Cycle>(x.last_finish, 1);
+    // A run cut at the cap simulated maxCycles cycles whether or not a
+    // core finished; utilization is measured over all of them.
+    result.cycles = result.timedOut ? x.ff.cyclesSimulated
+                                    : std::max<Cycle>(x.last_finish, 1);
     // Each engine accumulated its own share of the busy-lane integral
     // during the (possibly parallel) tick phases; summing the shares
     // in cluster-id order makes the total independent of the thread
@@ -1348,7 +1351,10 @@ System::finalize()
             PhaseResult pr;
             pr.name = t.name;
             pr.start = t.start;
-            pr.end = t.end ? t.end : x.finish[c];
+            // A phase still running at the cap ends where the run did.
+            pr.end = t.end        ? t.end
+                     : x.finish[c] ? x.finish[c]
+                                   : result.cycles;
             pr.firstVl = t.firstVl;
             pr.lastVl = t.lastVl;
             pr.computeIssued =

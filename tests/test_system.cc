@@ -59,6 +59,32 @@ TEST(System, AllPoliciesComplete)
     }
 }
 
+TEST(System, CycleCapReportsTheSimulatedCycles)
+{
+    // A run cut at the cap before any core finishes reports the cycles
+    // it simulated and a utilization over all of them, ticked or
+    // fast-forwarded.
+    for (bool ff : {false, true}) {
+        System sys(MachineConfig::forPolicy(SharingPolicy::Elastic, 2));
+        sys.setWorkload(0, "mem", memWorkload());
+        sys.setWorkload(1, "comp", compWorkload());
+        RunOptions opt;
+        opt.maxCycles = 20'000;
+        opt.fastForward = ff;
+        const RunResult r = sys.run(opt);
+        EXPECT_TRUE(r.timedOut);
+        EXPECT_EQ(r.cores[0].finish, 0u);
+        EXPECT_EQ(r.cores[1].finish, 0u);
+        EXPECT_EQ(r.cycles, opt.maxCycles);
+        EXPECT_GT(r.simdUtil, 0.0);
+        EXPECT_LE(r.simdUtil, 1.0);
+        for (const CoreRunResult &cr : r.cores) {
+            ASSERT_FALSE(cr.phases.empty());
+            EXPECT_EQ(cr.phases.back().end, opt.maxCycles);
+        }
+    }
+}
+
 TEST(System, DeterministicAcrossRuns)
 {
     const RunResult a = runPairOn(SharingPolicy::Elastic);
