@@ -1,7 +1,11 @@
 #include "workloads/suite.hh"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+
+#include "common/cliopts.hh"
 
 namespace occamy::workloads
 {
@@ -140,6 +144,41 @@ allPairs()
     for (auto &p : opencvPairs())
         pairs.push_back(std::move(p));
     return pairs;
+}
+
+std::vector<Pair>
+selectPairs(const std::string &spec)
+{
+    if (spec == "all")
+        return allPairs();
+    if (spec == "spec")
+        return specPairs();
+    if (spec == "opencv")
+        return opencvPairs();
+
+    const std::vector<Pair> all = allPairs();
+    std::vector<Pair> out;
+    for (const std::string &token : cliopts::splitCommas(spec)) {
+        std::uint64_t idx = 0;
+        if (cliopts::parseUnsigned(token, idx)) {
+            if (idx < 1 || idx > all.size())
+                throw std::invalid_argument(
+                    "pair index " + token + " out of range 1.." +
+                    std::to_string(all.size()));
+            out.push_back(all[idx - 1]);
+            continue;
+        }
+        const auto it =
+            std::find_if(all.begin(), all.end(),
+                         [&](const Pair &p) { return p.label == token; });
+        if (it == all.end())
+            throw std::invalid_argument("unknown pair label: " + token);
+        out.push_back(*it);
+    }
+    if (out.empty())
+        throw std::invalid_argument("no pairs selected by \"" + spec +
+                                    "\"");
+    return out;
 }
 
 std::vector<Group>

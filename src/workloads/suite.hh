@@ -55,6 +55,14 @@ std::vector<Pair> opencvPairs();
 /** All 25 pairs (SPEC then OpenCV). */
 std::vector<Pair> allPairs();
 
+/**
+ * Pairs named by a selector: "all", "spec", "opencv", or a comma list
+ * of catalog labels ("6+16") and 1-based indexes into allPairs().
+ * Throws std::invalid_argument naming the first unknown label or
+ * out-of-range index, or when the list selects nothing.
+ */
+std::vector<Pair> selectPairs(const std::string &spec);
+
 /** One 4-core group of Fig. 16. */
 struct Group
 {

@@ -4,7 +4,8 @@
 #  1. A finalize whose progress step would wrap the cycle counter
 #     still ends in "finalized" then "bye", and malformed per-request
 #     numbers ("-1", "abc", "") get a structured error while the
-#     daemon keeps serving.
+#     daemon keeps serving; so does a sweep naming an unknown pair
+#     label, which must name the label and run nothing.
 #  2. One spec, one result: serve's run of pair CV6+CV1 reports the
 #     cycles occamy-sim reports for the same spec.
 #  3. NDJSON parser fuzz: seeded single-byte mutations (XOR, delete,
@@ -44,6 +45,7 @@ cat > "$work/hang.in" <<'EOF'
 {"cmd":"pool","count":"-1","id":"bad4"}
 {"cmd":"sweep","pairs":"6+16","policy":"occamy","jobs":"-1","id":"bad5"}
 {"cmd":"run","progress_every":"x","id":"bad6"}
+{"cmd":"sweep","pairs":"6+16,bogus","policy":"occamy","id":"bad7"}
 {"cmd":"finalize","progress_every":"18446744073709551615","id":"f"}
 {"cmd":"shutdown","id":"bye"}
 EOF
@@ -61,6 +63,10 @@ for id in bad1 bad2 bad3 bad4 bad5 bad6; do
         grep -q "\"id\":\"$id\",\"ok\":false,\"event\":\"error\"" \
         "$work/hang.out"
 done
+check "sweep with an unknown pair label names it" \
+    grep -q '"id":"bad7","ok":false,"event":"error".*bogus' "$work/hang.out"
+check "sweep with an unknown pair label runs no job" \
+    bash -c "! grep -q '\"id\":\"bad7\",\"ok\":true' '$work/hang.out'"
 check "no pooled instances were booted by count -1" \
     bash -c "! grep -q '\"event\":\"pooled\"' '$work/hang.out'"
 check "no sanitizer report (numbers)" no_sanitizer_report "$work/hang.err"

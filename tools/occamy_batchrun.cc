@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -78,47 +79,6 @@ struct Options
     std::string admission = "none"; ///< Admission policy; "none" = off.
     unsigned admissionCap = 4;      ///< Per-tenant cap / bucket size.
 };
-
-/** Resolve --pairs into catalog entries; empty return = bad selector. */
-std::vector<workloads::Pair>
-selectPairs(const std::string &spec)
-{
-    const auto all = workloads::allPairs();
-    if (spec == "all")
-        return all;
-    if (spec == "spec")
-        return workloads::specPairs();
-    if (spec == "opencv")
-        return workloads::opencvPairs();
-
-    std::vector<workloads::Pair> out;
-    for (const std::string &token : cliopts::splitCommas(spec)) {
-        if (token.find('+') != std::string::npos) {
-            bool found = false;
-            for (const auto &p : all)
-                if (p.label == token) {
-                    out.push_back(p);
-                    found = true;
-                    break;
-                }
-            if (!found) {
-                std::fprintf(stderr, "unknown pair label: %s\n",
-                             token.c_str());
-                return {};
-            }
-        } else {
-            const long idx = std::atol(token.c_str());
-            if (idx < 1 || idx > static_cast<long>(all.size())) {
-                std::fprintf(stderr,
-                             "pair index %s out of range 1..%zu\n",
-                             token.c_str(), all.size());
-                return {};
-            }
-            out.push_back(all[static_cast<std::size_t>(idx - 1)]);
-        }
-    }
-    return out;
-}
 
 /** The whole flag surface, declared once. */
 cliopts::OptionSet
@@ -308,8 +268,10 @@ main(int argc, char **argv)
                     spec.traffic.sloCycles = static_cast<Cycle>(
                         opt.sloMs * spec.cfg.ghz * 1e6);
         } else {
-            pairs = selectPairs(opt.pairs);
-            if (pairs.empty()) {
+            try {
+                pairs = workloads::selectPairs(opt.pairs);
+            } catch (const std::invalid_argument &e) {
+                std::fprintf(stderr, "%s\n", e.what());
                 cli.printHelp(stderr);
                 return 2;
             }

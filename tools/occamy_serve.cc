@@ -812,23 +812,9 @@ cmdRun(Daemon &d, const Kv &req)
 void
 cmdSweep(Daemon &, const Kv &req)
 {
-    const std::string pair_spec = getStr(req, "pairs", "spec");
-    std::vector<workloads::Pair> pairs;
-    if (pair_spec == "all")
-        pairs = workloads::allPairs();
-    else if (pair_spec == "spec")
-        pairs = workloads::specPairs();
-    else if (pair_spec == "opencv")
-        pairs = workloads::opencvPairs();
-    else {
-        const auto all = workloads::allPairs();
-        for (const std::string &token : cliopts::splitCommas(pair_spec))
-            for (const auto &p : all)
-                if (p.label == token)
-                    pairs.push_back(p);
-    }
-    if (pairs.empty())
-        throw std::runtime_error("no pairs match: " + pair_spec);
+    // An unknown label or index fails the whole request by name.
+    const std::vector<workloads::Pair> pairs =
+        workloads::selectPairs(getStr(req, "pairs", "spec"));
 
     std::vector<SharingPolicy> policies;
     const std::string pol = getStr(req, "policy", "all");
