@@ -15,6 +15,11 @@
  *    co-processor drained while cores grind through stall cycles.
  *  - drained_partner: a classic compute+memory co-run where one core
  *    finishes long before the other and sits drained.
+ *  - dense_pair: the paper's motivating 6+16 pair under Occamy on a
+ *    flat 2-core machine. Both cores keep the co-processor busy for
+ *    almost the whole run, so fast-forward skips next to nothing and
+ *    the "off" rate measures the serial per-cycle cost of the
+ *    co-processor pipeline itself (issue, rename, commit).
  *  - parallel_clusters_4x4: a 16-core clustered machine ticked with 1
  *    vs 4 cycle-loop worker threads (RunOptions::simThreads, DESIGN.md
  *    §15). Here "off" is the serial loop and "on" the worker pool; the
@@ -105,6 +110,21 @@ drainedPartner()
     return s;
 }
 
+Scenario
+densePair()
+{
+    Scenario s;
+    s.name = "dense_pair";
+    s.cfg = MachineConfig::Builder(SharingPolicy::Elastic)
+                .cores(2)
+                .build();
+    for (const char *id : {"6", "16"}) {
+        workloads::Workload w = workloads::lookupWorkload(id);
+        s.pinned.push_back({w.name, std::move(w.loops)});
+    }
+    return s;
+}
+
 /** The fig16 scale-out shape: even clusters lean memory, odd clusters
  *  lean compute, 2*C batch jobs drain through work migration. All four
  *  engines stay busy most of the run, which is exactly the load the
@@ -184,7 +204,7 @@ main(int argc, char **argv)
 
     const std::vector<Scenario> scenarios = {
         batchIdleHeavy(), scalarFallback(), drainedPartner(),
-        parallelClusters()};
+        densePair(), parallelClusters()};
 
     std::string json = "{\"bench\":\"micro_ticks\",\"scenarios\":[";
     bool all_match = true;
