@@ -542,11 +542,16 @@ CoProcessor::track(CoreId c, DynInst &inst, Cycle ready_by)
         if (inst.pendingSrcs > 0)
             return;
     }
-    const Cycle at = operandsReadyAt(inst);
+    schedule({c, inst.seq}, operandsReadyAt(inst), ready_by);
+}
+
+void
+CoProcessor::schedule(IqRef ref, Cycle at, Cycle ready_by)
+{
     if (at <= ready_by) {
-        cores_[c].ready.push_back(inst.seq);
+        insertInAgeOrder(cores_[ref.core].ready, ref.seq);
     } else {
-        wakeups_.push_back({at, {c, inst.seq}});
+        wakeups_.push_back({at, ref});
         std::push_heap(wakeups_.begin(), wakeups_.end(),
                        std::greater<>{});
     }
@@ -559,19 +564,11 @@ CoProcessor::wakeDependents(std::int32_t phys, Cycle now)
     for (const IqRef &w : list) {
         DynInst &d = robEntry(cores_[w.core], w.seq);
         assert(d.pendingSrcs > 0);
-        if (--d.pendingSrcs > 0)
-            continue;
-        const Cycle at = operandsReadyAt(d);
-        if (at > now) {
-            wakeups_.push_back({at, w});
-            std::push_heap(wakeups_.begin(), wakeups_.end(),
-                           std::greater<>{});
-        } else {
-            // Zero-latency producer: the consumer is younger, so the
-            // issue loop still reaches it this cycle, as a full IQ
-            // scan would.
-            insertInAgeOrder(cores_[w.core].ready, w.seq);
-        }
+        // A zero-latency producer makes its consumer readable now. The
+        // consumer is younger, so the issue loop still reaches it this
+        // cycle, as a full IQ scan would.
+        if (--d.pendingSrcs == 0)
+            schedule(w, operandsReadyAt(d), now);
     }
     list.clear();
 }
@@ -1040,8 +1037,9 @@ CoProcessor::rebuildIssueTracking()
                                             regfile_.physCount()),
                                     "checkpoint source register out of "
                                     "range");
-            // Age order lets every due entry go straight onto the
-            // ready list; the rest wait in the heap or on sources.
+            // Loads go straight onto the ready list; every other entry
+            // waits on its sources or in the heap until the first issue
+            // stage after restore drains it.
             track(static_cast<CoreId>(c), inst, 0);
         }
     }

@@ -182,6 +182,21 @@ class CoProcessor
     /** EM-SIMD queue depth (Fig. 5's small in-order buffer). */
     static constexpr std::size_t kEmqDepth = 8;
 
+    /** An IQ entry, named by core and sequence number. */
+    struct IqRef
+    {
+        CoreId core;
+        SeqNum seq;
+    };
+
+    /** An operand-complete IQ entry and the cycle it becomes ready. */
+    struct Wakeup
+    {
+        Cycle at;
+        IqRef ref;
+        bool operator>(const Wakeup &o) const { return at > o.at; }
+    };
+
     /** Per-core pipeline state. The in-flight instruction queues are
      *  arena-backed rings (coproc/inst_ring.hh): each is bounded by
      *  configuration, so one contiguous allocation at construction
@@ -236,8 +251,8 @@ class CoProcessor
     void renameStage(Cycle now);
     void managerStage(Cycle now);
 
-    /** Try to issue ROB entry @p seq of core @p c. @return true if it
-     *  left the IQ this cycle. */
+    /** Try to issue ROB entry @p seq of core @p c, whose operands are
+     *  readable. @return true if it issued this cycle. */
     bool tryIssue(CoreId c, SeqNum seq, Cycle now, unsigned &compute_budget,
                   unsigned &mem_budget);
 
@@ -246,16 +261,18 @@ class CoProcessor
     bool issueReady(CoreId c, std::size_t k, Cycle now,
                     unsigned &compute_budget, unsigned &mem_budget);
 
-    /** Event-driven issue (DESIGN.md "Event-driven issue"): a renamed
-     *  entry waits on the wakeup list of every source whose producer
-     *  has not issued, then is scheduled for the ready list at the
-     *  cycle its last source becomes readable. Entries due by
-     *  @p ready_by go straight onto the ready list, which must then
-     *  hold only older entries. */
+    /** Event-driven issue (DESIGN.md §17): a renamed entry waits on
+     *  the wakeup list of every source whose producer has not issued,
+     *  then is scheduled for the ready list at the cycle its last
+     *  source becomes readable. */
     void track(CoreId c, DynInst &inst, Cycle ready_by);
 
     /** Cycle from which @p inst may issue as far as operands go. */
     Cycle operandsReadyAt(const DynInst &inst) const;
+
+    /** Put an operand-complete entry on its ready list if it is
+     *  readable at @p at <= @p ready_by, else on the wakeup heap. */
+    void schedule(IqRef ref, Cycle at, Cycle ready_by);
 
     /** Producer of @p phys issued at @p now: wake its waiters. */
     void wakeDependents(std::int32_t phys, Cycle now);
@@ -297,21 +314,6 @@ class CoProcessor
 
     std::vector<CoreState> cores_;
     std::vector<unsigned> busy_lanes_;  ///< Per core, this cycle.
-
-    /** An IQ entry, named by core and sequence number. */
-    struct IqRef
-    {
-        CoreId core;
-        SeqNum seq;
-    };
-
-    /** An operand-complete IQ entry and the cycle it becomes ready. */
-    struct Wakeup
-    {
-        Cycle at;
-        IqRef ref;
-        bool operator>(const Wakeup &o) const { return at > o.at; }
-    };
 
     /** Per physical row: IQ entries waiting for its producer. */
     std::vector<std::vector<IqRef>> waiters_;
