@@ -8,7 +8,7 @@
 #  2. Tools assemble runs through the library (runner::build): no
 #     tools/*.cc may call the System workload/dispatch setters or keep
 #     a private copy of the shared helpers (lookupWorkload,
-#     splitCommas, parsePolicy).
+#     selectPairs, splitCommas, parsePolicy).
 #  3. One dispatch path: nothing in src/ may name the retired
 #     SchedPolicy batch-dispatch enum.
 #
@@ -48,7 +48,7 @@ fi
 
 tool_patterns=(
     '(\.|->)[[:space:]]*(setWorkload|enqueueWorkload|enqueueArrival|setDispatcher|setAdmission)[[:space:]]*\('
-    '(^|[^:[:alnum:]_])(lookupWorkload|splitCommas|parsePolicy)[[:space:]]*\('
+    '(^|[^:[:alnum:]_])(lookupWorkload|selectPairs|splitCommas|parsePolicy)[[:space:]]*\('
 )
 for pat in "${tool_patterns[@]}"; do
     hits=$(grep -nE "$pat" tools/*.cc)
@@ -56,8 +56,9 @@ for pat in "${tool_patterns[@]}"; do
         echo "tool layering violation (pattern '$pat'):"
         echo "$hits"
         echo "build runs with runner::build and use the library helpers"
-        echo "(workloads::lookupWorkload, cliopts::splitCommas,"
-        echo "runner::parsePolicy) instead of private copies."
+        echo "(workloads::lookupWorkload, workloads::selectPairs,"
+        echo "cliopts::splitCommas, runner::parsePolicy) instead of"
+        echo "private copies."
         fail=1
     fi
 done
