@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests driving the CoProcessor directly with hand-built dynamic
- * instructions: the rename/issue/commit pipeline, EM-SIMD execution
+ * instructions: the rename/issue/commit pipeline (with the event-driven
+ * issue tracking and its checkpoint rebuild), EM-SIMD execution
  * semantics (<VL> writes with drain and availability conditions,
  * <OI>-triggered lane plans), per-policy behaviour and the instruction
  * ordering rules of Table 2 that the hardware owns.
