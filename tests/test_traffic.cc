@@ -7,7 +7,9 @@
  * asymmetry for diurnal), the determinism contract (identical configs
  * yield byte-identical streams), closed-loop chaining, the SLO metric
  * primitives, dispatcher selection on synthetic queues, and an
- * end-to-end drained run through the simulator.
+ * end-to-end drained run through the simulator. FrontEndPinned pins
+ * the job front-end's whole observable behaviour (event order, per-job
+ * records, result JSON) on three runs by digest.
  *
  * The statistical assertions run on fixed seeds, so they are exact
  * regression tests in practice; the thresholds are still chosen at the
@@ -18,8 +20,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
+#include "obs/export.hh"
+#include "runner/build.hh"
 #include "runner/runner.hh"
 #include "sim/system.hh"
 #include "sim/trace.hh"
@@ -28,6 +33,7 @@
 #include "traffic/metrics.hh"
 #include "traffic/scheduler.hh"
 #include "traffic/traffic.hh"
+#include "workloads/phases.hh"
 
 namespace occamy
 {
@@ -820,6 +826,128 @@ TEST(TrafficEndToEnd, AdmissionRunsAreDeterministic)
         EXPECT_EQ(a.trafficMetrics.goodput, b.trafficMetrics.goodput)
             << adm;
     }
+}
+
+// ------------------------------------------------ pinned front-end
+
+/** FNV-1a-64 of @p bytes, continuing from the digest @p h. */
+std::uint64_t
+fnv1a64(const std::string &bytes, std::uint64_t h = 0xCBF29CE484222325ULL)
+{
+    for (unsigned char ch : bytes)
+        h = (h ^ ch) * 0x100000001B3ULL;
+    return h;
+}
+
+/** Every field of every per-job record, one line per job. */
+std::string
+recordsText(const std::vector<traffic::JobRecord> &jobs)
+{
+    std::ostringstream os;
+    for (const traffic::JobRecord &j : jobs)
+        os << j.tenant << ',' << j.arrive << ',' << j.admit << ','
+           << j.finish << ',' << j.sloBudget << ',' << j.shed << ','
+           << j.defers << '\n';
+    return os.str();
+}
+
+/** A 2x2 clustered machine whose cluster-1 cores finish early and
+ *  adopt cluster 0's queued work (cross-cluster migration). */
+runner::JobSpec
+adoptSpec()
+{
+    runner::JobSpec spec;
+    spec.label = "adopt-2x2";
+    spec.cfg = MachineConfig::Builder(SharingPolicy::Elastic)
+                   .topology(2, 2)
+                   .build();
+    for (unsigned c = 0; c < 4; ++c)
+        spec.workloads.emplace_back(
+            "w" + std::to_string(c),
+            std::vector<kir::Loop>{workloads::makeNamedPhase(
+                "wsm51", c < 2 ? 65536 : 2048)});
+    for (int i = 0; i < 6; ++i)
+        spec.batch.emplace_back(
+            "q" + std::to_string(i),
+            std::vector<kir::Loop>{
+                workloads::makeNamedPhase("rho_eos1", 2048)});
+    spec.maxCycles = 20'000'000;
+    return spec;
+}
+
+/**
+ * The job front-end (arrivals, admission, placement, completion) is
+ * pinned whole: for three runs that between them shed, defer, trip
+ * the overload detector, release closed-loop successors and migrate
+ * work across clusters, the digests of the binary kEvAll event export,
+ * the per-job records and the result JSON must never change. A
+ * refactor of the front-end that moves any event, verdict or cycle
+ * fails here. The runs advance in 50k-cycle steps, exporting the ring
+ * after each, so the millions of pipeline events never wrap it.
+ */
+TEST(FrontEndPinned, TrafficRunsAreByteIdentical)
+{
+    // Token-bucket on a closed loop: refills (one per 1M-cycle mean
+    // gap) lag the chains, so jobs defer, and two mid-chain jobs miss
+    // their deadline waiting and are shed, releasing their successors.
+    runner::JobSpec closed = stormSpec("token-bucket");
+    closed.label = "closed-token-bucket";
+    closed.traffic.process = "closed";
+    closed.traffic.tenants = 2;
+    closed.traffic.meanGapCycles = 1'000'000.0;
+    closed.traffic.admissionCap = 1;
+    closed.traffic.sloCycles = 200'000;
+
+    struct Case
+    {
+        runner::JobSpec spec;
+        std::uint64_t events, records, json;
+    };
+    const std::vector<Case> cases = {
+        {stormSpec("slo-aware"), 0x9c6abea687808c48ULL,
+         0xec6cd5a0dfe99c16ULL, 0x02565464c90ea170ULL},
+        {closed, 0xbffe867ff8d6f63aULL, 0x96851abc667dd602ULL,
+         0x061c6d086276179eULL},
+        {adoptSpec(), 0x4820da23d29afa13ULL, 0xcbf29ce484222325ULL,
+         0xbddf554c19e6c644ULL},
+    };
+
+    std::uint64_t shed = 0, defers = 0, enters = 0, migrations = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.spec.label);
+        runner::JobSpec spec = c.spec;
+        spec.traceEvents = obs::kEvAll;
+        runner::BuiltRun run;
+        runner::build(spec, run);
+        run.sys->boot(run.opt);
+        std::uint64_t events = fnv1a64("");
+        for (bool done = false; !done;) {
+            done = run.sys->advance(run.sys->now() + 50'000);
+            const obs::TraceBuffer chunk = run.sink->take();
+            ASSERT_EQ(chunk.dropped, 0u);
+            std::ostringstream bin(std::ios::binary);
+            obs::writeBinaryTrace(bin, chunk);
+            events = fnv1a64(bin.str(), events);
+        }
+        const RunResult r = run.sys->finalize();
+        ASSERT_FALSE(r.timedOut);
+        shed += r.jobsShed;
+        defers += r.jobDeferrals;
+        enters += r.overloadEnters;
+        for (const ClusterRunResult &k : r.clusters)
+            migrations += k.migratedIn;
+
+        const std::uint64_t records = fnv1a64(recordsText(r.trafficJobs));
+        const std::uint64_t json = fnv1a64(trace::toJson(r));
+        EXPECT_EQ(events, c.events) << "0x" << std::hex << events;
+        EXPECT_EQ(records, c.records) << "0x" << std::hex << records;
+        EXPECT_EQ(json, c.json) << "0x" << std::hex << json;
+    }
+    // The runs must really exercise every front-end path pinned above.
+    ASSERT_GT(shed, 0u);
+    ASSERT_GT(defers, 0u);
+    ASSERT_GT(enters, 0u);
+    ASSERT_GT(migrations, 0u);
 }
 
 } // namespace
