@@ -85,6 +85,16 @@ class EventSink
     EventMask mask_;
 };
 
+/** Record a payload-only event (no x/y) into @p sink, when there is
+ *  one and it records @p k's category. */
+inline void
+note(EventSink *sink, EventKind k, Cycle cycle, CoreId core,
+     std::uint64_t a = 0, std::uint64_t b = 0)
+{
+    if (sink && sink->wants(k))
+        sink->record(Event{cycle, k, core, a, b});
+}
+
 /** Fixed-capacity drop-oldest ring sink. */
 class RingSink : public EventSink
 {

@@ -93,6 +93,63 @@ struct System::Ctx
         return eng(c).core(lc(c));
     }
 
+    /** The placement score (FrontEnd::Score): the machine's
+     *  *normalized progress* (the classic weighted-speedup
+     *  co-scheduling objective) if candidate OI @p cand joins the other
+     *  cores, summed over active workloads as attainable rate relative
+     *  to running alone with all lanes. Raw GFLOP/s would never
+     *  schedule a memory workload next to a compute one; normalized
+     *  progress rewards exactly that pairing. Lane partitioning is per
+     *  cluster, so the candidate is scored against the other cores of
+     *  the *target's* cluster (the whole machine on a flat config). */
+    double progressWith(const PhaseOI &cand, CoreId target) const
+    {
+        const ClusterEngine &tc = eng(target);
+        std::vector<PhaseOI> ois(cpk);
+        for (unsigned i = 0; i < cpk; ++i) {
+            const unsigned g = clusterOf(target) * cpk + i;
+            const PhaseOI &running =
+                tc.coproc().resourceTable()
+                    .core(static_cast<CoreId>(i)).oi;
+            ois[i] = running.active() ? running : fe.scheduledOi(g);
+        }
+        ois[lc(target)] = cand;
+        const auto plan = greedyPartition(roofline, ois, cfg.numExeBUs);
+
+        // Memory-bandwidth ceilings are machine-wide: co-running
+        // workloads bound at the same level split it. Count them so
+        // mem+mem placements are not scored as if each had the full
+        // 64 GB/s.
+        std::array<unsigned, 3> bound_at{0, 0, 0};
+        std::vector<bool> membound(ois.size(), false);
+        for (std::size_t i = 0; i < ois.size(); ++i) {
+            if (!ois[i].active() || plan[i] == 0)
+                continue;
+            const double ap = attainable(roofline, ois[i], plan[i]);
+            const double ceiling =
+                memBandwidth(roofline, ois[i].level) * ois[i].mem;
+            if (ap >= ceiling - 1e-9) {
+                membound[i] = true;
+                ++bound_at[static_cast<unsigned>(ois[i].level)];
+            }
+        }
+
+        double total = 0.0;
+        for (std::size_t i = 0; i < ois.size(); ++i) {
+            if (!ois[i].active())
+                continue;
+            const double solo = attainable(roofline, ois[i],
+                                           cfg.numExeBUs);
+            if (solo <= 0)
+                continue;
+            double ap = attainable(roofline, ois[i], plan[i]);
+            if (membound[i])
+                ap /= bound_at[static_cast<unsigned>(ois[i].level)];
+            total += ap / solo;
+        }
+        return total;
+    }
+
     std::unique_ptr<fault::FaultInjector> injector;
 
     std::vector<std::unique_ptr<Program>> programs;
@@ -110,62 +167,9 @@ struct System::Ctx
     std::vector<Cycle> finish;
     std::vector<bool> done;
 
-    // Batch dispatch state (Section 5).
-    const traffic::Dispatcher *dispatcher = nullptr;    ///< Set at boot.
-    std::vector<bool> dispatched;
-    std::size_t undispatched = 0;
-    std::vector<PhaseOI> queue_oi;
-    RooflineParams roofline;
-    std::vector<PhaseOI> sched_oi;
-    std::vector<Cycle> dispatch_at;
-    std::vector<std::size_t> pending_wl;
-
-    // Multi-tenant traffic state (src/traffic). Inert unless arrivals
-    // were enqueued: has_traffic gates every tick-loop branch, event,
-    // and exported artifact, keeping traffic-off runs byte-identical.
-    bool has_traffic = false;
-    std::vector<Cycle> eff_arrive;  ///< kCycleNever = not yet resolvable.
-    std::vector<bool> arrived;      ///< Entry is dispatchable.
-    std::size_t unarrived = 0;
-    Cycle next_arrival = kCycleNever;   ///< Min eff_arrive, unarrived.
-    std::vector<Cycle> admit_at;    ///< Dispatch decision cycle.
-    std::vector<Cycle> done_at;     ///< Completion cycle.
-    std::vector<std::size_t> dependent;  ///< q -> its closed-loop successor.
-    std::vector<std::size_t> core_job;   ///< Traffic entry running per core.
-    std::uint64_t slo_violations = 0;
-
-    // Admission-control state (src/traffic/admission). Inert unless a
-    // policy is installed: `admission` gates every branch, event,
-    // checkpoint section and exported artifact, so admission-off runs
-    // stay byte-identical. All of it is simulated state (checkpointed
-    // in the "admit" section) except the borrowed policy pointer.
-    const traffic::AdmissionPolicy *admission = nullptr;
-    unsigned admission_cap = 4;
-    std::vector<bool> adm_latched;      ///< Admission granted (one-time).
-    std::vector<bool> adm_shed;         ///< Rejected permanently.
-    std::vector<Cycle> adm_defer_until; ///< Backoff expiry per entry.
-    std::vector<std::uint32_t> adm_defer_count;
-    std::vector<unsigned> adm_inflight; ///< Per tenant: latched, unfinished.
-    std::vector<std::uint64_t> adm_tokens;      ///< Per tenant.
-    std::vector<Cycle> adm_last_refill;         ///< Per tenant.
-    Cycle adm_refill_period = 0;    ///< Cycles per token (from config
-                                    ///< mean gap; 0 = no token state).
-    std::uint64_t adm_shed_total = 0;
-    std::uint64_t adm_defer_total = 0;
-    std::size_t adm_ready = 0;      ///< Arrived, not dispatched/shed.
-    bool adm_overloaded = false;
-    std::uint64_t adm_overload_enters = 0;
-    /** Ring of the last 32 queueing delays (p95 detector input). */
-    std::array<Cycle, 32> adm_delay_ring{};
-    std::uint32_t adm_delay_n = 0;  ///< Total delays ever pushed.
-    /** Per-workload-class service EMA, sorted by class name for
-     *  deterministic checkpoint order. */
-    std::vector<std::pair<std::string, Cycle>> adm_class_ema;
-    Cycle adm_mean_ema = 0;
-    /** Earliest cycle an admission verdict can change without any
-     *  other wake (backoff expiry / token refill); recomputed from
-     *  scratch on every admission-aware selection scan. */
-    Cycle next_admission = kCycleNever;
+    RooflineParams roofline;    ///< Placement scores (cluster 0's view).
+    /** Arrivals, admission, placement and completion of queued work. */
+    FrontEnd fe;
 
     FastForwardStats ff;
     std::uint64_t watchdog_trips = 0;
@@ -175,9 +179,12 @@ struct System::Ctx
     bool complete = false;
 
     Ctx(const MachineConfig &resolved,
-        const std::vector<MachineConfig> &views, const RunOptions &o)
+        const std::vector<MachineConfig> &views, const RunOptions &o,
+        std::unique_ptr<ClusterArbiter> arb, const JobQueue &queue)
         : opt(o), cfg(resolved), model(policy::model(cfg.policy)),
-          ncl(cfg.numClusters), cpk(cfg.coresPerCluster())
+          arbiter(std::move(arb)), ncl(cfg.numClusters),
+          cpk(cfg.coresPerCluster()),
+          fe(queue, cfg, views[0], o.sink, arbiter.get())
     {
         for (unsigned k = 0; k < ncl; ++k) {
             const std::string prefix =
@@ -212,16 +219,17 @@ System::setWorkload(CoreId core, std::string name,
 void
 System::enqueueWorkload(std::string name, std::vector<kir::Loop> loops)
 {
-    queue_.emplace_back(std::move(name), std::move(loops));
-    queue_meta_.emplace_back();     // Plain entry: available at cycle 0.
+    traffic::Arrival e;
+    e.workload = std::move(name);
+    e.loops = std::move(loops);
+    queue_.entries.push_back(std::move(e));
 }
 
 void
 System::enqueueArrival(const traffic::Arrival &a)
 {
-    queue_.emplace_back(a.workload, a.loops);
-    queue_meta_.push_back(a);
-    has_traffic_ = true;
+    queue_.entries.push_back(a);
+    queue_.hasTraffic = true;
 }
 
 const Program *
@@ -271,7 +279,7 @@ System::boot(const RunOptions &opt)
                 for (const auto &loop : loops_[c])
                     phase_ois[c].push_back(kir::phaseOI(
                         loop, cfg.vecCache.sizeBytes, cfg.l2.sizeBytes));
-                will_run[c] = !loops_[c].empty() || !queue_.empty();
+                will_run[c] = !loops_[c].empty() || !queue_.entries.empty();
             }
             model.resolveStaticPlan(cfg, phase_ois, will_run);
         }
@@ -293,7 +301,7 @@ System::boot(const RunOptions &opt)
                             loop, v.vecCache.sizeBytes,
                             v.l2.sizeBytes));
                     will_run[i] =
-                        !loops_[g].empty() || !queue_.empty();
+                        !loops_[g].empty() || !queue_.entries.empty();
                 }
                 model.resolveStaticPlan(v, phase_ois, will_run);
             }
@@ -301,9 +309,9 @@ System::boot(const RunOptions &opt)
         }
     }
 
-    ctx_ = std::make_unique<Ctx>(cfg, views, opt);
+    ctx_ = std::make_unique<Ctx>(cfg, views, opt, std::move(arbiter),
+                                 queue_);
     Ctx &x = *ctx_;
-    x.arbiter = std::move(arbiter);
 
     // Fault injection (src/fault): the injector's consumable plan is a
     // single stateful stream, so it attaches to cluster 0's components
@@ -350,104 +358,13 @@ System::boot(const RunOptions &opt)
     x.finish.assign(x.cfg.numCores, 0);
     x.done.assign(x.cfg.numCores, false);
 
-    // Queued work dispatches through the installed dispatcher, FCFS
-    // when none is. An OI-scoring discipline gets each queued
-    // workload's first-phase behaviour pre-analyzed.
-    x.dispatcher =
-        dispatcher_ ? dispatcher_ : traffic::dispatcherByName("fcfs");
-    x.dispatched.assign(queue_.size(), false);
-    x.undispatched = queue_.size();
-    x.queue_oi.resize(queue_.size());
-    if (x.dispatcher->wantsOiScore()) {
-        const MachineConfig &view = x.engines[0]->view();
-        for (std::size_t q = 0; q < queue_.size(); ++q)
-            if (!queue_[q].second.empty())
-                x.queue_oi[q] = kir::phaseOI(queue_[q].second.front(),
-                                             view.vecCache.sizeBytes,
-                                             view.l2.sizeBytes);
-    }
-
-    // Traffic state: every queue entry is immediately available unless
-    // arrivals were enqueued, in which case each entry waits for its
-    // effective arrival cycle (closed-loop entries resolve theirs when
-    // the predecessor completes).
-    x.has_traffic = has_traffic_;
-    x.eff_arrive.assign(queue_.size(), 0);
-    x.arrived.assign(queue_.size(), true);
-    x.admit_at.assign(queue_.size(), kCycleNever);
-    x.done_at.assign(queue_.size(), kCycleNever);
-    x.dependent.assign(queue_.size(), traffic::kNoJob);
-    x.core_job.assign(x.cfg.numCores, traffic::kNoJob);
-    if (x.has_traffic) {
-        x.arrived.assign(queue_.size(), false);
-        x.unarrived = queue_.size();
-        x.next_arrival = kCycleNever;
-        for (std::size_t q = 0; q < queue_.size(); ++q) {
-            const traffic::Arrival &m = queue_meta_[q];
-            if (m.dependsOn == traffic::kNoJob) {
-                x.eff_arrive[q] = m.arriveAt;
-                x.next_arrival = std::min(x.next_arrival, m.arriveAt);
-            } else {
-                x.eff_arrive[q] = kCycleNever;
-                x.dependent[m.dependsOn] = q;
-            }
-        }
-    }
-
-    // Admission-control state: active only for traffic runs with a
-    // policy installed; otherwise none of it exists, so admission-off
-    // runs (the default) carry zero admission state anywhere.
-    x.admission = x.has_traffic ? admission_ : nullptr;
-    x.admission_cap = admission_cap_;
-    if (x.admission) {
-        const std::size_t n = queue_.size();
-        x.adm_latched.assign(n, false);
-        x.adm_shed.assign(n, false);
-        x.adm_defer_until.assign(n, 0);
-        x.adm_defer_count.assign(n, 0);
-        unsigned tenants = 1;
-        for (const traffic::Arrival &m : queue_meta_)
-            tenants = std::max(tenants, m.tenant + 1);
-        x.adm_inflight.assign(tenants, 0);
-        x.adm_tokens.assign(tenants, 0);
-        x.adm_last_refill.assign(tenants, 0);
-        if (x.admission->wantsTokens()) {
-            x.adm_refill_period =
-                admission_refill_ ? admission_refill_ : 100'000;
-            // Buckets start full: a tenant may burst up to `cap` jobs
-            // before the per-period refill becomes the binding rate.
-            x.adm_tokens.assign(tenants, x.admission_cap);
-        }
-        // Per-class service-EMA table, sorted by class name so the
-        // checkpoint order is deterministic.
-        std::vector<std::string> classes;
-        for (const auto &[wl_name, wl_loops] : queue_)
-            classes.push_back(wl_name);
-        std::sort(classes.begin(), classes.end());
-        classes.erase(std::unique(classes.begin(), classes.end()),
-                      classes.end());
-        for (const std::string &cls : classes)
-            x.adm_class_ema.emplace_back(cls, 0);
-        x.next_admission = kCycleNever;
-    }
-
-    // What each core is running or about to run, for placement
-    // decisions (the resource table lags behind pending dispatches).
-    x.sched_oi.assign(x.cfg.numCores, PhaseOI{});
-    x.dispatch_at.assign(x.cfg.numCores, kCycleNever);
-    x.pending_wl.assign(x.cfg.numCores, 0);
     x.wall_start = std::chrono::steady_clock::now();
 
     // Boot beacon: engine category, so kEvAll artifacts are untouched.
     // A serve daemon counts these to prove a warm-pool request paid no
     // boot cost on the request path.
-    if (opt.sink && opt.sink->wants(obs::EventKind::SystemBoot)) {
-        obs::Event ev;
-        ev.kind = obs::EventKind::SystemBoot;
-        ev.a = x.cfg.numCores;
-        ev.b = x.cfg.numExeBUs;
-        opt.sink->record(ev);
-    }
+    obs::note(opt.sink, obs::EventKind::SystemBoot, 0, kNoCore,
+              x.cfg.numCores, x.cfg.numExeBUs);
 }
 
 Cycle
@@ -465,7 +382,7 @@ System::finished() const
 bool
 System::overloaded() const
 {
-    return ctx_ && ctx_->admission && ctx_->adm_overloaded;
+    return ctx_ && ctx_->fe.overloaded();
 }
 
 bool
@@ -503,180 +420,12 @@ System::advance(Cycle stop_at)
             throw ckpt::Error("cannot open checkpoint file: " +
                               opt.checkpointOut);
         saveCheckpoint(os);
-        if (opt.sink && opt.sink->wants(obs::EventKind::CheckpointSave)) {
-            obs::Event ev;
-            ev.cycle = now;
-            ev.kind = obs::EventKind::CheckpointSave;
-            ev.a = static_cast<std::uint64_t>(os.tellp());
-            opt.sink->record(ev);
-        }
+        obs::note(opt.sink, obs::EventKind::CheckpointSave, now, kNoCore,
+                  static_cast<std::uint64_t>(os.tellp()));
     };
 
-    // Estimate the machine's *normalized progress* (the classic
-    // weighted-speedup co-scheduling objective) if candidate OI @p cand
-    // joins the other cores: sum over active workloads of their
-    // attainable rate relative to running alone with all lanes. Raw
-    // GFLOP/s would never schedule a memory workload next to a compute
-    // one; normalized progress rewards exactly that pairing.
-    // Lane partitioning is per cluster, so the candidate is scored
-    // against the other cores of the *target's* cluster (the whole
-    // machine on a flat config).
-    auto progressWith = [&](const PhaseOI &cand, CoreId target) {
-        ClusterEngine &tc = x.eng(target);
-        std::vector<PhaseOI> ois(x.cpk);
-        for (unsigned i = 0; i < x.cpk; ++i) {
-            const unsigned g = x.clusterOf(target) * x.cpk + i;
-            const PhaseOI &running =
-                tc.coproc().resourceTable()
-                    .core(static_cast<CoreId>(i)).oi;
-            ois[i] = running.active() ? running : x.sched_oi[g];
-        }
-        ois[x.lc(target)] = cand;
-        const auto plan = greedyPartition(x.roofline, ois, cfg.numExeBUs);
-
-        // Memory-bandwidth ceilings are machine-wide: co-running
-        // workloads bound at the same level split it. Count them so
-        // mem+mem placements are not scored as if each had the full
-        // 64 GB/s.
-        std::array<unsigned, 3> bound_at{0, 0, 0};
-        std::vector<bool> membound(ois.size(), false);
-        for (std::size_t i = 0; i < ois.size(); ++i) {
-            if (!ois[i].active() || plan[i] == 0)
-                continue;
-            const double ap = attainable(x.roofline, ois[i], plan[i]);
-            const double ceiling =
-                memBandwidth(x.roofline, ois[i].level) * ois[i].mem;
-            if (ap >= ceiling - 1e-9) {
-                membound[i] = true;
-                ++bound_at[static_cast<unsigned>(ois[i].level)];
-            }
-        }
-
-        double total = 0.0;
-        for (std::size_t i = 0; i < ois.size(); ++i) {
-            if (!ois[i].active())
-                continue;
-            const double solo = attainable(x.roofline, ois[i],
-                                           cfg.numExeBUs);
-            if (solo <= 0)
-                continue;
-            double ap = attainable(x.roofline, ois[i], plan[i]);
-            if (membound[i])
-                ap /= bound_at[static_cast<unsigned>(ois[i].level)];
-            total += ap / solo;
-        }
-        return total;
-    };
-
-    // A queue entry is dispatchable once undispatched, (under
-    // traffic) arrived, and (under admission control) admitted. Shed
-    // entries are marked dispatched, so they are excluded implicitly.
-    auto available = [&](std::size_t q) {
-        return !x.dispatched[q] && (!x.has_traffic || x.arrived[q]) &&
-               (!x.admission || x.adm_latched[q]);
-    };
-
-    // p95 queueing delay over the sliding ring of recent admits
-    // (0 until any sample) — the overload detector's latency signal.
-    auto admDelayP95 = [&]() -> Cycle {
-        const std::size_t n = std::min<std::size_t>(
-            x.adm_delay_n, x.adm_delay_ring.size());
-        if (n == 0)
-            return 0;
-        std::array<Cycle, 32> tmp{};
-        std::copy_n(x.adm_delay_ring.begin(), n, tmp.begin());
-        std::sort(tmp.begin(), tmp.begin() + n);
-        std::size_t rank = (95 * n + 99) / 100;     // ceil(0.95 n).
-        if (rank < 1)
-            rank = 1;
-        return tmp[rank - 1];
-    };
-
-    // Overload detector with enter/exit hysteresis: trip when the
-    // ready backlog reaches 4x the core count or the p95 queueing
-    // delay reaches 4x the mean observed service time; exit only once
-    // the backlog drains to <= cores AND the p95 falls back under 2x
-    // — the asymmetric thresholds prevent enter/exit flapping.
-    auto updateOverload = [&]() {
-        if (!x.admission)
-            return;
-        const Cycle p95 = admDelayP95();
-        if (!x.adm_overloaded) {
-            const bool deep =
-                x.adm_ready >= 4ull * cfg.numCores;
-            const bool slow =
-                x.adm_mean_ema > 0 && p95 > 4 * x.adm_mean_ema;
-            if (!deep && !slow)
-                return;
-            x.adm_overloaded = true;
-            ++x.adm_overload_enters;
-            if (opt.sink &&
-                opt.sink->wants(obs::EventKind::OverloadEnter)) {
-                obs::Event ev;
-                ev.cycle = now;
-                ev.kind = obs::EventKind::OverloadEnter;
-                ev.a = x.adm_ready;
-                ev.b = p95;
-                opt.sink->record(ev);
-            }
-        } else if (x.adm_ready <= cfg.numCores &&
-                   (x.adm_mean_ema == 0 ||
-                    p95 <= 2 * x.adm_mean_ema)) {
-            x.adm_overloaded = false;
-            if (opt.sink &&
-                opt.sink->wants(obs::EventKind::OverloadExit)) {
-                obs::Event ev;
-                ev.cycle = now;
-                ev.kind = obs::EventKind::OverloadExit;
-                ev.a = x.adm_ready;
-                ev.b = p95;
-                opt.sink->record(ev);
-            }
-        }
-    };
-
-    // Choose which queued workload an idle core picks up next, through
-    // the dispatcher; returns queue_.size() when nothing is
-    // dispatchable yet (the core idles until the next arrival).
-    // Clustered machines without traffic prefer batch entries whose
-    // home cluster is the idle core's own (entry q's home is
-    // q % numClusters): the dispatcher sees only home entries while
-    // any is ready. Adopting a foreign entry is the work-migration
-    // path — it costs clusterMigrationCycles — taken only when the
-    // home entries are exhausted.
-    auto selectNext = [&](CoreId core) -> std::size_t {
-        const unsigned here = x.clusterOf(core);
-        auto isHome = [&](std::size_t q) {
-            return static_cast<unsigned>(q % x.ncl) == here;
-        };
-        bool home_only = false;
-        if (x.ncl > 1 && !x.has_traffic)
-            for (std::size_t q = 0; q < queue_.size() && !home_only; ++q)
-                home_only = available(q) && isHome(q);
-        std::vector<traffic::PendingJob> pending;
-        for (std::size_t q = 0; q < queue_.size(); ++q) {
-            if (!available(q) || (home_only && !isHome(q)))
-                continue;
-            traffic::PendingJob pj;
-            pj.queueIdx = q;
-            pj.arrived = x.has_traffic ? x.eff_arrive[q] : 0;
-            pj.tenant = queue_meta_[q].tenant;
-            pj.estCost = queue_meta_[q].estCost;
-            if (queue_meta_[q].sloBudget != kCycleNever)
-                pj.deadline = x.eff_arrive[q] + queue_meta_[q].sloBudget;
-            pending.push_back(pj);
-        }
-        if (pending.empty())
-            return queue_.size();
-        traffic::DispatchContext dc{now, core, pending, {}};
-        if (x.dispatcher->wantsOiScore())
-            dc.progressScore = [&](std::size_t i) {
-                return progressWith(x.queue_oi[pending[i].queueIdx], core);
-            };
-        const std::size_t sel = x.dispatcher->select(dc);
-        if (sel >= pending.size())
-            return queue_.size();   // kDefer: leave the core idle.
-        return pending[sel].queueIdx;
+    const FrontEnd::Score score = [&x](const PhaseOI &cand, CoreId c) {
+        return x.progressWith(cand, c);
     };
 
     // The parallel tick phase: engines are ticked concurrently (or in
@@ -716,8 +465,9 @@ System::advance(Cycle stop_at)
             return (at / period + 1) * period;
         });
     for (unsigned c = 0; c < cfg.numCores; ++c)
-        wt.add(2, WakeSource::Dispatch,
-               [&x, c](Cycle) { return x.dispatch_at[c]; });
+        wt.add(2, WakeSource::Dispatch, [&x, c](Cycle) {
+            return x.fe.dispatchAt(static_cast<CoreId>(c));
+        });
     if (opt.snapshotEvery)
         wt.add(2, WakeSource::Snapshot, [every = opt.snapshotEvery](
                                             Cycle at) {
@@ -741,28 +491,14 @@ System::advance(Cycle stop_at)
                                   : kCycleNever;
                    });
     }
-    // A pending traffic arrival is a state change no component probe
-    // can see: an all-idle machine waiting for work must wake exactly
-    // at the next effective arrival. Unresolved closed-loop arrivals
-    // (next_arrival == kCycleNever) need no candidate — their
-    // predecessor is still running, so a component event precedes
-    // their resolution.
-    if (x.has_traffic)
-        wt.add(2, WakeSource::Arrival, [&x](Cycle at) {
-            return x.unarrived > 0
-                       ? std::max(x.next_arrival, at + 1)
-                       : kCycleNever;
-        });
-    // Admission re-evaluation boundaries (a deferred job's backoff
-    // expiry, or a fresh arrival's first verdict) change scheduling
-    // state no component probe can see. next_admission is recomputed
-    // from scratch by every admission pass, so it is never stale.
-    if (x.admission)
-        wt.add(2, WakeSource::Admission, [&x](Cycle at) {
-            return x.next_admission != kCycleNever
-                       ? std::max(x.next_admission, at + 1)
-                       : kCycleNever;
-        });
+    // Front-end wakes: arrivals and admission re-evaluations change
+    // scheduling state no component probe can see.
+    if (x.fe.hasTraffic())
+        wt.add(2, WakeSource::Arrival,
+               [&x](Cycle at) { return x.fe.arrivalWake(at); });
+    if (x.fe.admitting())
+        wt.add(2, WakeSource::Admission,
+               [&x](Cycle at) { return x.fe.admissionWake(at); });
 
     // --- Cycle loop. ---
     for (; now < max_cycles; ++now) {
@@ -851,377 +587,63 @@ System::advance(Cycle stop_at)
                 if (st.resolved && st.ok)
                     continue;   // Grant landed; the spin ends next step.
                 ++x.watchdog_trips;
-                if (opt.sink &&
-                    opt.sink->wants(obs::EventKind::WatchdogTrip)) {
-                    obs::Event ev;
-                    ev.cycle = now;
-                    ev.kind = obs::EventKind::WatchdogTrip;
-                    ev.core = static_cast<CoreId>(c);
-                    ev.a = cp.currentVl(core.id());
-                    ev.b = now - core.spinSince();
-                    opt.sink->record(ev);
-                }
+                obs::note(opt.sink, obs::EventKind::WatchdogTrip, now,
+                          static_cast<CoreId>(c), cp.currentVl(core.id()),
+                          now - core.spinSince());
                 core.watchdogEscalate(now);
             }
         }
 
-        // Traffic arrivals whose effective cycle has come become
-        // dispatchable this cycle (before any dispatch decision, so a
-        // job arriving at `now` is immediately schedulable).
-        if (x.has_traffic && x.next_arrival <= now) {
-            Cycle next = kCycleNever;
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                if (x.arrived[q])
-                    continue;
-                if (x.eff_arrive[q] <= now) {
-                    x.arrived[q] = true;
-                    --x.unarrived;
-                    if (x.admission) {
-                        ++x.adm_ready;
-                        x.next_admission = now; // Evaluate on sight.
-                    }
-                    if (opt.sink &&
-                        opt.sink->wants(obs::EventKind::JobArrival)) {
-                        obs::Event ev;
-                        ev.cycle = now;
-                        ev.kind = obs::EventKind::JobArrival;
-                        ev.a = opt.sink->internString(queue_[q].first);
-                        ev.b = (static_cast<std::uint64_t>(
-                                    queue_meta_[q].tenant)
-                                << 32) |
-                               static_cast<std::uint64_t>(q);
-                        opt.sink->record(ev);
-                    }
-                } else {
-                    next = std::min(next, x.eff_arrive[q]);
-                }
-            }
-            x.next_arrival = next;
-        }
+        // Arrivals and admission verdicts come before any dispatch
+        // decision, so a job arriving at `now` is schedulable at once.
+        x.fe.release(now);
 
-        // Admission verdicts for arrived-but-unlatched candidates
-        // whose backoff has expired. Runs at arrival instants and at
-        // deferred re-evaluation boundaries, before any dispatch
-        // decision, so an admitted job is dispatchable the same cycle
-        // it would have been without admission control. Recomputes
-        // next_admission from scratch so the fast-forward wake above
-        // is never stale.
-        if (x.admission && x.next_admission <= now) {
-            Cycle next = kCycleNever;
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                if (x.dispatched[q] || !x.arrived[q] ||
-                    x.adm_latched[q])
-                    continue;
-                if (x.adm_defer_until[q] > now) {
-                    next = std::min(next, x.adm_defer_until[q]);
-                    continue;
-                }
-                const traffic::Arrival &m = queue_meta_[q];
-                const unsigned t = m.tenant;
-                // Deterministic lazy token refill: one token per
-                // tenant per period, capped at the bucket size.
-                if (x.adm_refill_period) {
-                    const Cycle elapsed = now - x.adm_last_refill[t];
-                    const std::uint64_t add =
-                        elapsed / x.adm_refill_period;
-                    if (add) {
-                        x.adm_tokens[t] = std::min<std::uint64_t>(
-                            x.adm_tokens[t] + add, x.admission_cap);
-                        x.adm_last_refill[t] +=
-                            add * x.adm_refill_period;
-                    }
-                }
-                traffic::AdmissionContext ac;
-                ac.now = now;
-                ac.tenant = t;
-                ac.sloBudget = m.sloBudget;
-                if (m.sloBudget != kCycleNever)
-                    ac.deadline = x.eff_arrive[q] + m.sloBudget;
-                ac.estCost = static_cast<Cycle>(m.estCost);
-                {
-                    const std::string &cls = queue_[q].first;
-                    auto it = std::lower_bound(
-                        x.adm_class_ema.begin(), x.adm_class_ema.end(),
-                        cls,
-                        [](const std::pair<std::string, Cycle> &e,
-                           const std::string &k) { return e.first < k; });
-                    if (it != x.adm_class_ema.end() && it->first == cls)
-                        ac.classServiceEma = it->second;
-                }
-                ac.meanServiceEma = x.adm_mean_ema;
-                ac.readyJobs = x.adm_ready;
-                ac.inFlight = x.adm_inflight[t];
-                ac.tokens = x.adm_tokens[t];
-                ac.overloaded = x.adm_overloaded;
-                ac.cores = cfg.numCores;
-                ac.deferCount = x.adm_defer_count[q];
-                ac.cap = x.admission_cap;
-
-                switch (x.admission->decide(ac)) {
-                  case traffic::AdmissionDecision::Admit:
-                    // One-time latch; tokens are consumed here, at
-                    // admission, never at dispatch.
-                    x.adm_latched[q] = true;
-                    ++x.adm_inflight[t];
-                    if (x.admission->wantsTokens() &&
-                        x.adm_tokens[t] > 0)
-                        --x.adm_tokens[t];
-                    break;
-                  case traffic::AdmissionDecision::Defer: {
-                    const Cycle backoff =
-                        traffic::admissionBackoff(x.adm_defer_count[q]);
-                    ++x.adm_defer_count[q];
-                    ++x.adm_defer_total;
-                    x.adm_defer_until[q] = now + backoff;
-                    next = std::min(next, x.adm_defer_until[q]);
-                    if (opt.sink &&
-                        opt.sink->wants(obs::EventKind::JobDefer)) {
-                        obs::Event ev;
-                        ev.cycle = now;
-                        ev.kind = obs::EventKind::JobDefer;
-                        ev.a = q;
-                        ev.b = backoff;
-                        opt.sink->record(ev);
-                    }
-                    break;
-                  }
-                  case traffic::AdmissionDecision::Shed: {
-                    x.adm_shed[q] = true;
-                    x.dispatched[q] = true;
-                    --x.undispatched;
-                    --x.adm_ready;
-                    ++x.adm_shed_total;
-                    if (opt.sink &&
-                        opt.sink->wants(obs::EventKind::JobShed)) {
-                        obs::Event ev;
-                        ev.cycle = now;
-                        ev.kind = obs::EventKind::JobShed;
-                        ev.a = q;
-                        ev.b = (static_cast<std::uint64_t>(t) << 32) |
-                               x.adm_defer_count[q];
-                        opt.sink->record(ev);
-                    }
-                    // Release the closed-loop successor exactly as a
-                    // completion would: the simulated client carries
-                    // on after a rejection, so no chain (and no run)
-                    // ever hangs on a shed predecessor.
-                    const std::size_t dep = x.dependent[q];
-                    if (dep != traffic::kNoJob) {
-                        x.eff_arrive[dep] =
-                            now + queue_meta_[dep].thinkGap;
-                        x.next_arrival = std::min(x.next_arrival,
-                                                  x.eff_arrive[dep]);
-                    }
-                    break;
-                  }
-                }
-            }
-            x.next_admission = next;
-            updateOverload();
-        }
-
-        // Dispatch queued workloads onto cores whose context switch
-        // completed.
+        // Install the queued workloads whose context switch completed.
         for (unsigned c = 0; c < cfg.numCores; ++c) {
-            if (x.dispatch_at[c] != kCycleNever &&
-                now >= x.dispatch_at[c]) {
-                const auto &[wl_name, wl_loops] = queue_[x.pending_wl[c]];
-                x.compile_log.emplace_back(static_cast<CoreId>(c),
-                                           x.pending_wl[c]);
-                x.core(c).setProgram(compileAndBind(
-                    x, static_cast<CoreId>(c), wl_name, wl_loops));
-                x.core_prog[c] = x.programs.size() - 1;
-                if (x.has_traffic)
-                    x.core_job[c] = x.pending_wl[c];
-                result.batch.push_back(BatchCompletion{
-                    wl_name, static_cast<CoreId>(c), now, 0});
-                if (opt.sink &&
-                    opt.sink->wants(obs::EventKind::BatchDispatch)) {
-                    obs::Event ev;
-                    ev.cycle = now;
-                    ev.kind = obs::EventKind::BatchDispatch;
-                    ev.core = static_cast<CoreId>(c);
-                    ev.a = opt.sink->internString(wl_name);
-                    ev.b = x.pending_wl[c];
-                    opt.sink->record(ev);
-                }
-                x.dispatch_at[c] = kCycleNever;
-            }
+            const CoreId id = static_cast<CoreId>(c);
+            const std::size_t q = x.fe.due(id, now);
+            if (q == traffic::kNoJob)
+                continue;
+            const traffic::Arrival &job = queue_.entries[q];
+            x.compile_log.emplace_back(id, q);
+            x.core(c).setProgram(
+                compileAndBind(x, id, job.workload, job.loops));
+            x.core_prog[c] = x.programs.size() - 1;
+            result.batch.push_back(BatchCompletion{job.workload, id, now, 0});
+            x.fe.started(id, now);
         }
 
-        // Lane accounting (FTS scaling, bucket sums, busy integral)
-        // happened inside each engine's tickCycle; this loop is the
-        // serial scheduler: completion detection, traffic lifecycle,
-        // and batch dispatch.
+        // Completion detection: a drained core closes its job and its
+        // batch record, then takes queued work or is finished.
         bool all_done = true;
         for (unsigned c = 0; c < cfg.numCores; ++c) {
-            if (!x.done[c]) {
-                const bool idle =
-                    x.core(c).doneEmitting() &&
-                    x.eng(c).coproc().coreDrained(x.lc(c)) &&
-                    x.dispatch_at[c] == kCycleNever;
-                if (idle) {
-                    // Close the traffic lifecycle of the job that just
-                    // completed here: completion record, SLO check, and
-                    // resolution of its closed-loop successor's
-                    // effective arrival.
-                    if (x.core_job[c] != traffic::kNoJob) {
-                        const std::size_t q = x.core_job[c];
-                        x.core_job[c] = traffic::kNoJob;
-                        x.done_at[q] = now;
-                        const Cycle lat = now - x.eff_arrive[q];
-                        if (opt.sink &&
-                            opt.sink->wants(obs::EventKind::JobComplete)) {
-                            obs::Event ev;
-                            ev.cycle = now;
-                            ev.kind = obs::EventKind::JobComplete;
-                            ev.core = static_cast<CoreId>(c);
-                            ev.a = q;
-                            ev.b = lat;
-                            opt.sink->record(ev);
-                        }
-                        const Cycle budget = queue_meta_[q].sloBudget;
-                        if (budget != kCycleNever && lat > budget) {
-                            ++x.slo_violations;
-                            if (opt.sink &&
-                                opt.sink->wants(
-                                    obs::EventKind::SloViolation)) {
-                                obs::Event ev;
-                                ev.cycle = now;
-                                ev.kind = obs::EventKind::SloViolation;
-                                ev.core = static_cast<CoreId>(c);
-                                ev.a = q;
-                                ev.b = lat - budget;
-                                opt.sink->record(ev);
-                            }
-                        }
-                        const std::size_t dep = x.dependent[q];
-                        if (dep != traffic::kNoJob) {
-                            x.eff_arrive[dep] =
-                                now + queue_meta_[dep].thinkGap;
-                            x.next_arrival = std::min(x.next_arrival,
-                                                      x.eff_arrive[dep]);
-                        }
-                        // Admission bookkeeping: the tenant's slot
-                        // frees, and the observed service time
-                        // (dispatch decision to completion) feeds the
-                        // per-class and mean EMAs the slo-aware
-                        // policy predicts with. Integer EMA,
-                        // alpha = 1/4.
-                        if (x.admission) {
-                            const unsigned t = queue_meta_[q].tenant;
-                            if (x.adm_inflight[t] > 0)
-                                --x.adm_inflight[t];
-                            const Cycle service = now - x.admit_at[q];
-                            const std::string &cls = queue_[q].first;
-                            auto it = std::lower_bound(
-                                x.adm_class_ema.begin(),
-                                x.adm_class_ema.end(), cls,
-                                [](const std::pair<std::string,
-                                                   Cycle> &e,
-                                   const std::string &k) {
-                                    return e.first < k;
-                                });
-                            if (it != x.adm_class_ema.end() &&
-                                it->first == cls)
-                                it->second =
-                                    it->second
-                                        ? (3 * it->second + service) / 4
-                                        : service;
-                            x.adm_mean_ema =
-                                x.adm_mean_ema
-                                    ? (3 * x.adm_mean_ema + service) / 4
-                                    : service;
-                        }
-                    }
-                    // Close the batch record of the workload that just
-                    // completed on this core, if any.
-                    for (auto it = result.batch.rbegin();
-                         it != result.batch.rend(); ++it) {
-                        if (it->core == c && it->finished == 0) {
-                            it->finished = now;
-                            break;
-                        }
-                    }
-                    if (x.undispatched > 0) {
-                        // Grab the next workload (per the dispatch
-                        // discipline) after the OS context-switch cost.
-                        // Under traffic nothing may have arrived yet;
-                        // the core then idles until the next arrival.
-                        const std::size_t q =
-                            selectNext(static_cast<CoreId>(c));
-                        if (q < queue_.size()) {
-                            x.pending_wl[c] = q;
-                            x.dispatched[q] = true;
-                            x.sched_oi[c] = x.queue_oi[q];
-                            --x.undispatched;
-                            x.dispatch_at[c] =
-                                now + cfg.contextSwitchCycles;
-                            // Cross-cluster adoption (work migration)
-                            // pays the extra state-movement cost and
-                            // is accounted by the arbiter.
-                            if (x.ncl > 1) {
-                                const unsigned home =
-                                    static_cast<unsigned>(q % x.ncl);
-                                const unsigned here = x.clusterOf(c);
-                                if (home != here) {
-                                    x.dispatch_at[c] +=
-                                        cfg.clusterMigrationCycles;
-                                    x.arbiter->noteMigration(home,
-                                                             here);
-                                    if (opt.sink &&
-                                        opt.sink->wants(
-                                            obs::EventKind::
-                                                ClusterArbiterMigrate)) {
-                                        obs::Event ev;
-                                        ev.cycle = now;
-                                        ev.kind = obs::EventKind::
-                                            ClusterArbiterMigrate;
-                                        ev.core =
-                                            static_cast<CoreId>(c);
-                                        ev.a = q;
-                                        ev.b =
-                                            (static_cast<std::uint64_t>(
-                                                 home)
-                                             << 32) |
-                                            here;
-                                        opt.sink->record(ev);
-                                    }
-                                }
-                            }
-                            if (x.has_traffic) {
-                                x.admit_at[q] = now;
-                                if (opt.sink &&
-                                    opt.sink->wants(
-                                        obs::EventKind::JobAdmit)) {
-                                    obs::Event ev;
-                                    ev.cycle = now;
-                                    ev.kind = obs::EventKind::JobAdmit;
-                                    ev.core = static_cast<CoreId>(c);
-                                    ev.a = q;
-                                    ev.b = now - x.eff_arrive[q];
-                                    opt.sink->record(ev);
-                                }
-                                if (x.admission) {
-                                    --x.adm_ready;
-                                    x.adm_delay_ring
-                                        [x.adm_delay_n %
-                                         x.adm_delay_ring.size()] =
-                                        now - x.eff_arrive[q];
-                                    ++x.adm_delay_n;
-                                    updateOverload();
-                                }
-                            }
-                        }
-                        all_done = false;
-                    } else {
-                        x.done[c] = true;
-                        x.finish[c] = now;
-                        last_finish = std::max(last_finish, now);
-                    }
-                } else {
-                    all_done = false;
+            const CoreId id = static_cast<CoreId>(c);
+            if (x.done[c])
+                continue;
+            if (!x.core(c).doneEmitting() ||
+                !x.eng(c).coproc().coreDrained(x.lc(c)) ||
+                x.fe.switching(id)) {
+                all_done = false;
+                continue;
+            }
+            x.fe.complete(id, now);
+            for (auto it = result.batch.rbegin(); it != result.batch.rend();
+                 ++it) {
+                if (it->core == c && it->finished == 0) {
+                    it->finished = now;
+                    break;
                 }
+            }
+            if (x.fe.exhausted()) {
+                x.done[c] = true;
+                x.finish[c] = now;
+                last_finish = std::max(last_finish, now);
+            } else {
+                // The next workload (per the dispatch discipline) comes
+                // after the OS context-switch cost; under traffic the
+                // core idles until something is ready.
+                x.fe.place(now, id, score);
+                all_done = false;
             }
         }
         if (opt.snapshotEvery && now > 0 &&
@@ -1282,15 +704,8 @@ System::advance(Cycle stop_at)
         if (span == 0)
             continue;
 
-        if (opt.sink &&
-            opt.sink->wants(obs::EventKind::SchedFastForward)) {
-            obs::Event ev;
-            ev.cycle = now;
-            ev.kind = obs::EventKind::SchedFastForward;
-            ev.a = span;
-            ev.b = static_cast<std::uint64_t>(why);
-            opt.sink->record(ev);
-        }
+        obs::note(opt.sink, obs::EventKind::SchedFastForward, now, kNoCore,
+                  span, static_cast<std::uint64_t>(why));
         for (auto &eng : x.engines)
             eng->synthesizeSkipped(now + 1, target - 1, bucket);
         for (auto &eng : x.engines)
@@ -1404,27 +819,11 @@ System::finalize()
         }
     }
 
-    if (x.has_traffic) {
-        result.sloViolations = x.slo_violations;
-        result.trafficJobs.resize(queue_.size());
-        for (std::size_t q = 0; q < queue_.size(); ++q) {
-            traffic::JobRecord &jr = result.trafficJobs[q];
-            jr.tenant = queue_meta_[q].tenant;
-            jr.arrive = x.eff_arrive[q];
-            jr.admit = x.admit_at[q];
-            jr.finish = x.done_at[q];
-            jr.sloBudget = queue_meta_[q].sloBudget;
-            if (x.admission) {
-                jr.shed = x.adm_shed[q];
-                jr.defers = x.adm_defer_count[q];
-            }
-        }
-        if (x.admission) {
-            result.jobsShed = x.adm_shed_total;
-            result.jobDeferrals = x.adm_defer_total;
-            result.overloadEnters = x.adm_overload_enters;
-        }
-    }
+    result.trafficJobs = x.fe.records();
+    result.sloViolations = x.fe.sloViolations();
+    result.jobsShed = x.fe.shed();
+    result.jobDeferrals = x.fe.deferrals();
+    result.overloadEnters = x.fe.overloadEnters();
 
     // gem5-style stats dump (same groups the snapshots sampled).
     {
@@ -1454,40 +853,7 @@ System::finalize()
                 "cluster_migrations", [mig] { return mig; },
                 "queued workloads adopted across clusters");
         }
-        if (x.has_traffic) {
-            double completed = 0.0;
-            for (Cycle d : x.done_at)
-                if (d != kCycleNever)
-                    completed += 1.0;
-            const double jobs = static_cast<double>(queue_.size());
-            const double viol = static_cast<double>(x.slo_violations);
-            run_group.addFormula(
-                "traffic_jobs", [jobs] { return jobs; },
-                "traffic arrivals enqueued");
-            run_group.addFormula(
-                "traffic_completed", [completed] { return completed; },
-                "traffic jobs that ran to completion");
-            run_group.addFormula(
-                "slo_violations", [viol] { return viol; },
-                "completions whose latency exceeded the SLO budget");
-            if (x.admission) {
-                const double shed =
-                    static_cast<double>(x.adm_shed_total);
-                const double defers =
-                    static_cast<double>(x.adm_defer_total);
-                const double enters =
-                    static_cast<double>(x.adm_overload_enters);
-                run_group.addFormula(
-                    "jobs_shed", [shed] { return shed; },
-                    "arrivals rejected by admission control");
-                run_group.addFormula(
-                    "job_deferrals", [defers] { return defers; },
-                    "admission defer verdicts issued");
-                run_group.addFormula(
-                    "overload_enters", [enters] { return enters; },
-                    "times the overload detector tripped");
-            }
-        }
+        x.fe.addStats(run_group);
         run_group.dump(os);
         result.statsText = os.str();
     }
@@ -1565,9 +931,9 @@ System::fingerprint(const Ctx &x) const
         describeLoops(os, loops_[i]);
     }
     os << '#';
-    for (const auto &[name, loops] : queue_) {
-        os << name << '@';
-        describeLoops(os, loops);
+    for (const traffic::Arrival &e : queue_.entries) {
+        os << e.workload << '@';
+        describeLoops(os, e.loops);
     }
     // Determinism-relevant run options. fastForward and checkpointing
     // knobs are deliberately excluded: they never change simulated
@@ -1578,9 +944,10 @@ System::fingerprint(const Ctx &x) const
     // Traffic metadata and the dispatch discipline are determinism-
     // relevant. Appended only when configured so traffic-free
     // fingerprints — and every existing checkpoint — are unchanged.
-    if (has_traffic_ || dispatcher_) {
-        os << '#' << (dispatcher_ ? dispatcher_->key() : "") << '|';
-        for (const traffic::Arrival &m : queue_meta_)
+    if (queue_.hasTraffic || queue_.dispatcher) {
+        os << '#' << (queue_.dispatcher ? queue_.dispatcher->key() : "")
+           << '|';
+        for (const traffic::Arrival &m : queue_.entries)
             os << m.arriveAt << ',' << m.tenant << ',' << m.sloBudget
                << ',' << m.dependsOn << ',' << m.thinkGap << ','
                << m.estCost << ';';
@@ -1588,9 +955,9 @@ System::fingerprint(const Ctx &x) const
     // The admission policy and its knobs are determinism-relevant.
     // Appended only when a policy is installed so admission-off
     // fingerprints — and every existing checkpoint — are unchanged.
-    if (has_traffic_ && admission_)
-        os << '#' << "adm:" << admission_->key() << '|'
-           << admission_cap_ << '|' << admission_refill_;
+    if (queue_.hasTraffic && queue_.admission)
+        os << '#' << "adm:" << queue_.admission->key() << '|'
+           << queue_.admissionCap << '|' << queue_.admissionRefill;
     // Cluster topology and per-cluster resolved static plans. Appended
     // only on clustered machines so every flat-machine fingerprint —
     // and every existing checkpoint — is unchanged.
@@ -1667,11 +1034,11 @@ System::io(Ar &ar, Ctx &x, std::vector<std::string> &interned) const
             Reader::check(e.first < x.cfg.numCores,
                           "checkpoint compile log references a core "
                           "this system lacks");
-            Reader::check(e.second < queue_.size(),
+            Reader::check(e.second < queue_.entries.size(),
                           "checkpoint compile log references a queue "
                           "entry this system lacks");
-            const auto &[name, loops] = queue_[e.second];
-            compileAndBind(x, e.first, name, loops);
+            const traffic::Arrival &job = queue_.entries[e.second];
+            compileAndBind(x, e.first, job.workload, job.loops);
         }
     });
     if constexpr (kLoad)
@@ -1692,16 +1059,7 @@ System::io(Ar &ar, Ctx &x, std::vector<std::string> &interned) const
         ar.u64(f);
     for (auto &&d : x.done)
         ar.b(d);
-    ar.len(x.dispatched.size(), "checkpoint batch queue length mismatch");
-    for (auto &&d : x.dispatched)
-        ar.b(d);
-    ar.u64(x.undispatched);
-    for (PhaseOI &oi : x.sched_oi)
-        oi.io(ar);
-    for (Cycle &d : x.dispatch_at)
-        ar.u64(d);
-    for (std::size_t &p : x.pending_wl)
-        ar.u64(p);
+    x.fe.ioDispatch(ar);
 
     // Timelines, in global core order (the engines hold them now, but
     // the byte layout is the pre-engine flat one).
@@ -1741,67 +1099,11 @@ System::io(Ar &ar, Ctx &x, std::vector<std::string> &interned) const
     if (x.injector)
         x.injector->io(ar);
 
-    // Traffic lifecycle state. The section exists only when arrivals
-    // were enqueued, so traffic-free checkpoints keep their exact byte
-    // layout (and fingerprints) from before the traffic subsystem.
-    if (x.has_traffic) {
-        ar.section("traffic");
-        ar.len(queue_.size(), "checkpoint traffic queue length mismatch");
-        for (std::size_t q = 0; q < queue_.size(); ++q) {
-            ar.u64(x.eff_arrive[q]);
-            ar.b(x.arrived[q]);
-            ar.u64(x.admit_at[q]);
-            ar.u64(x.done_at[q]);
-        }
-        ar.u64(x.unarrived);
-        ar.u64(x.next_arrival);
-        ar.u64(x.slo_violations);
-        for (std::size_t &j : x.core_job)
-            ar.u64(j);
-    }
-
-    // Admission-control state. Like the traffic section, it exists
-    // only when a policy is installed, so admission-off checkpoints
-    // keep their exact byte layout. Presence mismatches are caught by
-    // the fingerprint (the policy key and knobs are part of it).
-    if (x.admission) {
-        ar.section("admit");
-        ar.len(queue_.size(),
-               "checkpoint admission queue length mismatch");
-        for (std::size_t q = 0; q < queue_.size(); ++q) {
-            ar.b(x.adm_latched[q]);
-            ar.b(x.adm_shed[q]);
-            ar.u64(x.adm_defer_until[q]);
-            ar.u32(x.adm_defer_count[q]);
-        }
-        ar.len(x.adm_inflight.size(),
-               "checkpoint admission tenant count mismatch");
-        for (std::size_t t = 0; t < x.adm_inflight.size(); ++t) {
-            ar.u32(x.adm_inflight[t]);
-            ar.u64(x.adm_tokens[t]);
-            ar.u64(x.adm_last_refill[t]);
-        }
-        for (Cycle &d : x.adm_delay_ring)
-            ar.u64(d);
-        ar.u32(x.adm_delay_n);
-        ar.len(x.adm_class_ema.size(),
-               "checkpoint admission class table mismatch");
-        for (auto &[cls, ema] : x.adm_class_ema) {
-            std::string saved_cls = cls;
-            ar.str(saved_cls);
-            if constexpr (kLoad)
-                Reader::check(saved_cls == cls,
-                              "checkpoint admission class name mismatch");
-            ar.u64(ema);
-        }
-        ar.u64(x.adm_mean_ema);
-        ar.u64(x.adm_ready);
-        ar.b(x.adm_overloaded);
-        ar.u64(x.adm_overload_enters);
-        ar.u64(x.adm_shed_total);
-        ar.u64(x.adm_defer_total);
-        ar.u64(x.next_admission);
-    }
+    // Traffic lifecycle and admission-control state. Each section
+    // exists only when its layer is on, so traffic- and admission-off
+    // checkpoints keep their exact byte layout; presence mismatches are
+    // caught by the fingerprint.
+    x.fe.ioJobs(ar);
 
     // Inter-cluster arbiter grants and accounting. Like the traffic
     // section, it exists only on clustered machines, so flat-machine
@@ -1866,13 +1168,8 @@ System::restoreCheckpoint(std::istream &is, const RunOptions &opt)
         // The wall-clock budget restarts at restore time; it is host
         // time, not simulated state.
         x.wall_start = std::chrono::steady_clock::now();
-        if (opt.sink &&
-            opt.sink->wants(obs::EventKind::CheckpointRestore)) {
-            obs::Event ev;
-            ev.cycle = x.now;
-            ev.kind = obs::EventKind::CheckpointRestore;
-            opt.sink->record(ev);
-        }
+        obs::note(opt.sink, obs::EventKind::CheckpointRestore, x.now,
+                  kNoCore);
     } catch (...) {
         // Never leave a half-restored machine behind.
         ctx_.reset();
@@ -1903,8 +1200,8 @@ System::inspect(const std::string &path) const
            << "cores " << x.cfg.numCores << '\n'
            << "cycle " << x.now << '\n'
            << "complete " << (x.complete ? 1 : 0) << '\n'
-           << "queued_workloads " << queue_.size() << '\n'
-           << "undispatched " << x.undispatched << '\n'
+           << "queued_workloads " << queue_.entries.size() << '\n'
+           << "undispatched " << x.fe.undispatched() << '\n'
            << "watchdog_trips " << x.watchdog_trips << '\n'
            << "cycles_ticked " << x.ff.cyclesTicked << '\n'
            << "ff_spans " << x.ff.spans << '\n';
@@ -1915,19 +1212,7 @@ System::inspect(const std::string &path) const
                << '\n'
                << "cluster_migrations " << x.arbiter->migrations()
                << '\n';
-        if (x.has_traffic)
-            os << "traffic_dispatcher "
-               << x.dispatcher->key() << '\n'
-               << "traffic_unarrived " << x.unarrived << '\n'
-               << "slo_violations " << x.slo_violations << '\n';
-        if (x.admission)
-            os << "admission " << x.admission->key() << '\n'
-               << "admission_cap " << x.admission_cap << '\n'
-               << "admission_ready " << x.adm_ready << '\n'
-               << "overloaded " << (x.adm_overloaded ? 1 : 0) << '\n'
-               << "jobs_shed " << x.adm_shed_total << '\n'
-               << "job_deferrals " << x.adm_defer_total << '\n'
-               << "overload_enters " << x.adm_overload_enters << '\n';
+        x.fe.inspect(os);
     } else if (path == "system.arbiter" && x.arbiter) {
         os << "clusters " << x.ncl << '\n'
            << "total_dram_bpc " << x.arbiter->totalBpc() << '\n'

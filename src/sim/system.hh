@@ -26,10 +26,7 @@
 #include "mem/memsystem.hh"
 #include "obs/events.hh"
 #include "obs/sink.hh"
-#include "traffic/admission.hh"
-#include "traffic/metrics.hh"
-#include "traffic/scheduler.hh"
-#include "traffic/traffic.hh"
+#include "sim/front_end.hh"
 
 namespace occamy
 {
@@ -188,9 +185,10 @@ enum class WakeSource : std::uint8_t
                 ///< per-cluster DRAM grants there, which no component
                 ///< probe can anticipate.
     Admission,  ///< Earliest admission re-evaluation boundary: a
-                ///< deferred job's backoff expiry or a token-bucket
-                ///< refill instant. Like Arrival, invisible to
-                ///< component probes, so it must be a wake candidate.
+                ///< deferred job's backoff expiry or a fresh arrival's
+                ///< first verdict (token refills are lazy and never a
+                ///< boundary). Like Arrival, invisible to component
+                ///< probes, so it must be a wake candidate.
 };
 
 /**
@@ -308,7 +306,10 @@ class System
      * (traffic::dispatcherByName) are immortal singletons, so those
      * are always safe.
      */
-    void setDispatcher(const traffic::Dispatcher *d) { dispatcher_ = d; }
+    void setDispatcher(const traffic::Dispatcher *d)
+    {
+        queue_.dispatcher = d;
+    }
 
     /**
      * Install an admission policy gating entry of traffic arrivals
@@ -327,9 +328,9 @@ class System
     setAdmission(const traffic::AdmissionPolicy *p, unsigned cap = 4,
                  Cycle refillPeriod = 0)
     {
-        admission_ = p;
-        admission_cap_ = cap;
-        admission_refill_ = refillPeriod;
+        queue_.admission = p;
+        queue_.admissionCap = cap;
+        queue_.admissionRefill = refillPeriod;
     }
 
     /** Run to completion of all workloads under @p opt. Equivalent to
@@ -420,19 +421,7 @@ class System
     MachineConfig cfg_;
     std::vector<std::string> names_;
     std::vector<std::vector<kir::Loop>> loops_;
-    std::vector<std::pair<std::string, std::vector<kir::Loop>>> queue_;
-
-    /** Traffic metadata parallel to queue_ (default entries for plain
-     *  enqueueWorkload calls). has_traffic_ gates every traffic-side
-     *  artifact so traffic-off runs stay byte-identical. */
-    std::vector<traffic::Arrival> queue_meta_;
-    bool has_traffic_ = false;
-    const traffic::Dispatcher *dispatcher_ = nullptr;
-
-    /** Admission layer (null = off; see setAdmission). */
-    const traffic::AdmissionPolicy *admission_ = nullptr;
-    unsigned admission_cap_ = 4;
-    Cycle admission_refill_ = 0;
+    JobQueue queue_;
 
     std::unique_ptr<Ctx> ctx_;
 };
