@@ -287,7 +287,7 @@ FrontEnd::select(Cycle now, CoreId c, const Score &score) const
     // foreign entry is the work-migration path, taken only when the
     // home entries are exhausted.
     const unsigned ncl = cfg_.numClusters;
-    const unsigned here = c / cfg_.coresPerCluster();
+    const unsigned here = cfg_.clusterOf(c);
     auto isHome = [&](std::size_t q) { return q % ncl == here; };
     bool home_only = false;
     if (ncl > 1 && !queue_.hasTraffic)
@@ -337,7 +337,7 @@ FrontEnd::place(Cycle now, CoreId c, const Score &score)
     // state-movement cost and is accounted by the arbiter.
     if (arbiter_) {
         const unsigned home = static_cast<unsigned>(q % cfg_.numClusters);
-        const unsigned here = c / cfg_.coresPerCluster();
+        const unsigned here = cfg_.clusterOf(c);
         if (home != here) {
             dispatch_at_[c] += cfg_.clusterMigrationCycles;
             arbiter_->noteMigration(home, here);

@@ -265,49 +265,35 @@ System::boot(const RunOptions &opt)
 
     // Per-cluster flat views, each with its own offline static lane
     // plan (Section 7.1's static spatial sharing, and work-conserving
-    // variants entitled by the same plan). On a flat machine the one
-    // view is the config itself and the legacy resolution path runs
-    // unchanged; on a clustered machine each cluster resolves a plan
-    // over its own K local cores.
+    // variants entitled by the same plan) over its own K local cores.
+    // A flat machine is the one-cluster case: its view is the config
+    // itself, which then carries the resolved plan.
     std::unique_ptr<ClusterArbiter> arbiter;
-    std::vector<MachineConfig> views;
-    if (cfg.numClusters == 1) {
-        if (model.wantsOfflineStaticPlan() && cfg.staticPlan.empty()) {
-            std::vector<std::vector<PhaseOI>> phase_ois(cfg.numCores);
-            std::vector<bool> will_run(cfg.numCores, false);
-            for (unsigned c = 0; c < cfg.numCores; ++c) {
-                for (const auto &loop : loops_[c])
-                    phase_ois[c].push_back(kir::phaseOI(
-                        loop, cfg.vecCache.sizeBytes, cfg.l2.sizeBytes));
-                will_run[c] = !loops_[c].empty() || !queue_.entries.empty();
-            }
-            model.resolveStaticPlan(cfg, phase_ois, will_run);
-        }
-        views.push_back(cfg);
-    } else {
+    if (cfg.numClusters > 1)
         arbiter = std::make_unique<ClusterArbiter>(
             cfg.numClusters, cfg.dramBytesPerCycle,
             cfg.interArbiterPeriod);
-        const unsigned K = cfg.coresPerCluster();
-        for (unsigned k = 0; k < cfg.numClusters; ++k) {
-            MachineConfig v = clusterView(cfg, arbiter->shares()[k]);
-            if (model.wantsOfflineStaticPlan() && v.staticPlan.empty()) {
-                std::vector<std::vector<PhaseOI>> phase_ois(K);
-                std::vector<bool> will_run(K, false);
-                for (unsigned i = 0; i < K; ++i) {
-                    const unsigned g = k * K + i;
-                    for (const auto &loop : loops_[g])
-                        phase_ois[i].push_back(kir::phaseOI(
-                            loop, v.vecCache.sizeBytes,
-                            v.l2.sizeBytes));
-                    will_run[i] =
-                        !loops_[g].empty() || !queue_.entries.empty();
-                }
-                model.resolveStaticPlan(v, phase_ois, will_run);
+    const unsigned K = cfg.coresPerCluster();
+    std::vector<MachineConfig> views;
+    for (unsigned k = 0; k < cfg.numClusters; ++k) {
+        MachineConfig v =
+            clusterView(cfg, arbiter ? arbiter->shares()[k] : 0);
+        if (model.wantsOfflineStaticPlan() && v.staticPlan.empty()) {
+            std::vector<std::vector<PhaseOI>> phase_ois(K);
+            std::vector<bool> will_run(K, false);
+            for (unsigned i = 0; i < K; ++i) {
+                const unsigned g = k * K + i;
+                for (const auto &loop : loops_[g])
+                    phase_ois[i].push_back(kir::phaseOI(
+                        loop, v.vecCache.sizeBytes, v.l2.sizeBytes));
+                will_run[i] = !loops_[g].empty() || !queue_.entries.empty();
             }
-            views.push_back(std::move(v));
+            model.resolveStaticPlan(v, phase_ois, will_run);
         }
+        views.push_back(std::move(v));
     }
+    if (!arbiter)
+        cfg = views[0];
 
     ctx_ = std::make_unique<Ctx>(cfg, views, opt, std::move(arbiter),
                                  queue_);

@@ -755,17 +755,38 @@ checkpointAt(const MachineConfig &cfg, const RunOptions &opt, Cycle at,
     return os.str();
 }
 
+/** The little-endian u64 at offset @p off. */
+std::uint64_t
+u64At(const std::string &bytes, std::size_t off)
+{
+    std::uint64_t n = 0;
+    for (int i = 0; i < 8; ++i)
+        n |= std::uint64_t{static_cast<unsigned char>(bytes.at(off + i))}
+             << (8 * i);
+    return n;
+}
+
 /** Entries in the compile log: the u64 at offset 128 of the "engine"
  *  section (header 8, meta 32, engine marker 18, 70 bytes of engine
  *  scalars, the u32 region counter). */
 std::uint64_t
 compileLogLength(const std::string &bytes)
 {
-    std::uint64_t n = 0;
+    return u64At(bytes, 128);
+}
+
+/** @p bytes with the u64 at @p off set to @p v and the checksum
+ *  trailer recomputed, so only a range check can reject the file. */
+std::string
+patchU64(std::string bytes, std::size_t off, std::uint64_t v)
+{
+    const std::size_t trailer = bytes.size() - 8;
     for (int i = 0; i < 8; ++i)
-        n |= std::uint64_t{static_cast<unsigned char>(bytes.at(128 + i))}
-             << (8 * i);
-    return n;
+        bytes.at(off + i) = static_cast<char>(v >> (8 * i));
+    const std::uint64_t h = fnv1a64(bytes.substr(0, trailer));
+    for (int i = 0; i < 8; ++i)
+        bytes[trailer + i] = static_cast<char>(h >> (8 * i));
+    return bytes;
 }
 
 /**
@@ -861,12 +882,14 @@ class CkptReject : public ::testing::Test
         ASSERT_GT(bytes_.size(), 64u);
     }
 
-    /** Restore @p bytes, expecting a ckpt::Error whose message holds
-     *  @p needle; the System must come back un-booted. */
-    void expectReject(const std::string &bytes, const std::string &needle)
+    /** Restore @p bytes into a System prepared by @p prep, expecting a
+     *  ckpt::Error whose message holds @p needle; the System must come
+     *  back un-booted. */
+    void expectReject(const std::string &bytes, const std::string &needle,
+                      const std::function<void(System &)> &prep = setup)
     {
         System sys(cfg_);
-        setup(sys);
+        prep(sys);
         std::istringstream is(bytes, std::ios::binary);
         try {
             sys.restoreCheckpoint(is, opt_);
@@ -996,6 +1019,43 @@ TEST_F(CkptReject, CorruptCompileLogCoreId)
     std::string bad = bytes;
     bad[136] = static_cast<char>(bad[136] ^ 0x10);
     expectReject(bad, "compile log references a core");
+}
+
+TEST_F(CkptReject, CorruptPendingDispatchIndex)
+{
+    // A core mid-context-switch whose pending queue index is past the
+    // queue: restore must refuse it before placement indexes the queue
+    // with it. Both fields sit in the "engine" section after the
+    // compile log (10 bytes an entry), core_prog, finish and done, the
+    // dispatched flags and count, and the per-core scheduled OIs.
+    const std::size_t C = cfg_.numCores, n = 1;
+    const std::size_t dispatch_at = 136 + 10 * compileLogLength(bytes_) +
+                                    8 * C + 8 * C + C + 8 + n + 8 + 17 * C;
+    const std::size_t pending = dispatch_at + 8 * C;
+    ASSERT_EQ(u64At(bytes_, dispatch_at), kCycleNever);
+    ASSERT_EQ(u64At(bytes_, pending), 0u);
+    const std::string bad = patchU64(patchU64(bytes_, dispatch_at, 6'000),
+                                     pending, 1'000);
+    expectReject(bad, "pending dispatch references a queue entry");
+}
+
+TEST_F(CkptReject, CorruptRunningJobIndex)
+{
+    // A traffic job running on core 0 whose queue index is past the
+    // queue: completion would index the job table with it. core_job
+    // follows the "traffic" marker, the queue length, 25 bytes per
+    // entry and three u64 counters.
+    const auto prep = [](System &sys) { setupStorm(sys, "slo-aware"); };
+    const std::string bytes = checkpointAt(cfg_, opt_, 60'000, prep);
+    const std::string marker("\x07\0\0\0\0\0\0\0traffic", 15);
+    const std::size_t at = bytes.find(marker);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t n = u64At(bytes, at + marker.size());
+    const std::size_t core_job = at + marker.size() + 8 + 25 * n + 24;
+    const std::uint64_t job = u64At(bytes, core_job);
+    ASSERT_TRUE(job == traffic::kNoJob || job < n);
+    expectReject(patchU64(bytes, core_job, n + 1'000),
+                 "running job references a queue entry", prep);
 }
 
 /**

@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -204,38 +205,56 @@ runThreaded(runner::JobSpec spec, unsigned threads)
     return r;
 }
 
+/** One cell of the 1-vs-N matrix: policy, traffic (else a batch
+ *  queue), fault seed (0 = fault-free), fast-forward. */
+using MatrixCell =
+    std::tuple<SharingPolicy, bool, std::uint64_t, bool>;
+
+class ClusteredMatrix : public ::testing::TestWithParam<MatrixCell>
+{
+};
+
 /** The tentpole contract (DESIGN.md §15): every observable artifact of
  *  a clustered run is byte-identical whether the per-cluster engines
  *  tick serially or on a worker pool, across policy x fault plan x
- *  traffic x fast-forward. */
-TEST(SimThreadsEquiv, ClusteredMatrixIsByteIdenticalOneVsN)
+ *  traffic x fast-forward. Each cell is its own test (and its own
+ *  ctest entry), so the matrix runs in parallel under `ctest -j`. */
+TEST_P(ClusteredMatrix, IsByteIdenticalOneVsN)
 {
-    for (const SharingPolicy policy :
-         {SharingPolicy::Elastic, SharingPolicy::Private}) {
-        for (const bool traffic : {false, true}) {
-            for (const std::uint64_t fault_seed :
-                 {std::uint64_t{0}, std::uint64_t{7}}) {
-                for (const bool ff : {true, false}) {
-                    runner::JobSpec spec = clusteredSpec(policy, traffic);
-                    spec.label = std::string("4x2/") +
-                                 policyName(policy) +
-                                 (traffic ? "/traffic" : "/batch") +
-                                 (fault_seed ? "/faults" : "") +
-                                 (ff ? "/ff" : "/ticked");
-                    SCOPED_TRACE(spec.label);
-                    spec.fastForward = ff;
-                    spec.faultSeed = fault_seed;
-                    spec.watchdogCycles = 50'000;
-                    const runner::JobResult serial = runThreaded(spec, 1);
-                    // 4 workers = one per cluster; 3 leaves a cluster
-                    // to work-stealing, covering uneven division.
-                    expectIdentical(serial, runThreaded(spec, 4));
-                    expectIdentical(serial, runThreaded(spec, 3));
-                }
-            }
-        }
-    }
+    const auto [policy, traffic, fault_seed, ff] = GetParam();
+    runner::JobSpec spec = clusteredSpec(policy, traffic);
+    spec.label = std::string("4x2/") + policyName(policy) +
+                 (traffic ? "/traffic" : "/batch") +
+                 (fault_seed ? "/faults" : "") + (ff ? "/ff" : "/ticked");
+    spec.fastForward = ff;
+    spec.faultSeed = fault_seed;
+    spec.watchdogCycles = 50'000;
+    const runner::JobResult serial = runThreaded(spec, 1);
+    // 4 workers = one per cluster; 3 leaves a cluster to work-stealing,
+    // covering uneven division.
+    expectIdentical(serial, runThreaded(spec, 4));
+    expectIdentical(serial, runThreaded(spec, 3));
 }
+
+/** gtest name of a matrix cell, e.g. Occamy_traffic_faults_ff. */
+std::string
+cellName(const ::testing::TestParamInfo<MatrixCell> &info)
+{
+    const auto [policy, traffic, fault_seed, ff] = info.param;
+    return std::string(policyName(policy)) +
+           (traffic ? "_traffic" : "_batch") +
+           (fault_seed ? "_faults" : "") + (ff ? "_ff" : "_ticked");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SimThreadsEquiv, ClusteredMatrix,
+    ::testing::Combine(::testing::Values(SharingPolicy::Elastic,
+                                         SharingPolicy::Private),
+                       ::testing::Bool(),
+                       ::testing::Values(std::uint64_t{0},
+                                         std::uint64_t{7}),
+                       ::testing::Bool()),
+    cellName);
 
 /** Thread counts beyond the cluster count are capped, not an error,
  *  and a flat machine stays on the serial loop for any value. */

@@ -11,6 +11,8 @@
 #     selectPairs, splitCommas, parsePolicy).
 #  3. One dispatch path: nothing in src/ may name the retired
 #     SchedPolicy batch-dispatch enum.
+#  4. The job front-end stays machine-free: src/sim/front_end.* may
+#     include no coproc/, core/, mem/ or sim/cluster_engine.hh header.
 #
 # Usage: lint_policy_layering.sh [repo-root]   (exit 0 = clean)
 
@@ -68,6 +70,15 @@ hits=$(grep -rnE 'SchedPolicy|schedPolicy' src \
 if [ -n "$hits" ]; then
     echo "dispatch layering violation: queued work dispatches only"
     echo "through the traffic::Dispatcher registry:"
+    echo "$hits"
+    fail=1
+fi
+
+hits=$(grep -nE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"(coproc/|core/|mem/|sim/cluster_engine\.hh)' \
+           src/sim/front_end.*)
+if [ -n "$hits" ]; then
+    echo "front-end layering violation: the job front-end decides which"
+    echo "job runs where and when, and knows nothing of the machine:"
     echo "$hits"
     fail=1
 fi
