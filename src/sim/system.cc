@@ -85,7 +85,6 @@ struct System::Ctx
     }
     /** Global core id -> cluster-local core id. */
     CoreId lc(unsigned c) const { return static_cast<CoreId>(c % cpk); }
-    unsigned clusterOf(unsigned c) const { return c / cpk; }
     /** Global core accessor. */
     ScalarCore &core(unsigned c) { return eng(c).core(lc(c)); }
     const ScalarCore &core(unsigned c) const
@@ -107,7 +106,7 @@ struct System::Ctx
         const ClusterEngine &tc = eng(target);
         std::vector<PhaseOI> ois(cpk);
         for (unsigned i = 0; i < cpk; ++i) {
-            const unsigned g = clusterOf(target) * cpk + i;
+            const unsigned g = cfg.clusterOf(target) * cpk + i;
             const PhaseOI &running =
                 tc.coproc().resourceTable()
                     .core(static_cast<CoreId>(i)).oi;
