@@ -660,16 +660,9 @@ CoProcessor::execEmSimd(CoreId c, const DynInst &inst, Cycle now)
     switch (inst.op) {
       case Opcode::MsrOI:
         rt_.core(c).oi = inst.oi;
-        if (sink_ && sink_->wants(obs::EventKind::OiUpdate)) {
-            obs::Event ev;
-            ev.cycle = now;
-            ev.kind = obs::EventKind::OiUpdate;
-            ev.core = c;
-            ev.a = static_cast<std::uint64_t>(inst.oi.level);
-            ev.x = inst.oi.issue;
-            ev.y = inst.oi.mem;
-            sink_->record(ev);
-        }
+        obs::note(sink_, obs::EventKind::OiUpdate, now, c,
+                  static_cast<std::uint64_t>(inst.oi.level), 0,
+                  inst.oi.issue, inst.oi.mem);
         if (model_.usesLaneManager())
             lane_mgr_.notifyPhaseEvent(now);
         // Phase activity changed: rule-based policies republish

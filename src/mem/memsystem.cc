@@ -39,15 +39,8 @@ void
 MemSystem::recordDram(Cycle now, obs::EventKind kind, Addr line_addr,
                       unsigned bytes, Cycle ready) const
 {
-    if (!sink_ || !sink_->wants(kind))
-        return;
-    obs::Event ev;
-    ev.cycle = now;
-    ev.kind = kind;
-    ev.a = line_addr;
-    ev.b = bytes;
-    ev.x = static_cast<double>(ready);
-    sink_->record(ev);
+    obs::note(sink_, kind, now, kNoCore, line_addr, bytes,
+              static_cast<double>(ready));
 }
 
 Cycle

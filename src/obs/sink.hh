@@ -85,14 +85,15 @@ class EventSink
     EventMask mask_;
 };
 
-/** Record a payload-only event (no x/y) into @p sink, when there is
- *  one and it records @p k's category. */
+/** Record one event into @p sink, when there is one and it records
+ *  @p k's category. Payloads (a, b, x, y) mean what the kind says. */
 inline void
 note(EventSink *sink, EventKind k, Cycle cycle, CoreId core,
-     std::uint64_t a = 0, std::uint64_t b = 0)
+     std::uint64_t a = 0, std::uint64_t b = 0, double x = 0.0,
+     double y = 0.0)
 {
     if (sink && sink->wants(k))
-        sink->record(Event{cycle, k, core, a, b});
+        sink->record(Event{cycle, k, core, a, b, x, y});
 }
 
 /** Fixed-capacity drop-oldest ring sink. */

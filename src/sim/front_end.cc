@@ -13,9 +13,11 @@ FrontEnd::FrontEnd(const JobQueue &queue, const MachineConfig &cfg,
                    const MachineConfig &view, obs::EventSink *sink,
                    ClusterArbiter *arbiter)
     : queue_(queue), cfg_(cfg), sink_(sink), arbiter_(arbiter),
+      traffic_(queue.hasTraffic),
       dispatcher_(queue.dispatcher ? queue.dispatcher
                                    : traffic::dispatcherByName("fcfs")),
-      admission_(queue.hasTraffic ? queue.admission : nullptr),
+      admission_(traffic_ ? queue.admission : nullptr),
+      cap_(queue.admissionCap),
       jobs_(queue.entries.size()), undispatched_(jobs_.size()),
       dispatch_at_(cfg.numCores, kCycleNever),
       pending_wl_(cfg.numCores, 0), sched_oi_(cfg.numCores),
@@ -32,7 +34,7 @@ FrontEnd::FrontEnd(const JobQueue &queue, const MachineConfig &cfg,
 
     // Under traffic each entry waits for its effective arrival cycle
     // (closed-loop entries resolve theirs when the predecessor ends).
-    if (queue.hasTraffic) {
+    if (traffic_) {
         unarrived_ = jobs_.size();
         for (std::size_t q = 0; q < jobs_.size(); ++q) {
             const traffic::Arrival &m = queue.entries[q];
@@ -59,7 +61,7 @@ FrontEnd::FrontEnd(const JobQueue &queue, const MachineConfig &cfg,
         // Buckets start full: a tenant may burst up to `cap` jobs
         // before the per-period refill becomes the binding rate.
         for (Tenant &t : tenants_)
-            t.tokens = queue.admissionCap;
+            t.tokens = cap_;
     }
     std::vector<std::string> classes;
     for (const traffic::Arrival &e : queue.entries)
@@ -93,8 +95,8 @@ FrontEnd::arrive(Cycle now)
         // only when the event is recorded.
         if (sink_ && sink_->wants(obs::EventKind::JobArrival))
             obs::note(sink_, obs::EventKind::JobArrival, now, kNoCore,
-                 sink_->internString(queue_.entries[q].workload),
-                 (std::uint64_t{queue_.entries[q].tenant} << 32) | q);
+                      sink_->internString(queue_.entries[q].workload),
+                      (std::uint64_t{queue_.entries[q].tenant} << 32) | q);
     }
     next_arrival_ = next;
 }
@@ -119,8 +121,7 @@ FrontEnd::admit(Cycle now)
             const std::uint64_t add =
                 (now - tn.lastRefill) / refill_period_;
             if (add) {
-                tn.tokens = std::min<std::uint64_t>(tn.tokens + add,
-                                                    queue_.admissionCap);
+                tn.tokens = std::min<std::uint64_t>(tn.tokens + add, cap_);
                 tn.lastRefill += add * refill_period_;
             }
         }
@@ -140,7 +141,7 @@ FrontEnd::admit(Cycle now)
         ac.overloaded = overloaded_;
         ac.cores = cfg_.numCores;
         ac.deferCount = j.defers;
-        ac.cap = queue_.admissionCap;
+        ac.cap = cap_;
 
         switch (admission_->decide(ac)) {
           case traffic::AdmissionDecision::Admit:
@@ -157,7 +158,8 @@ FrontEnd::admit(Cycle now)
             ++defer_total_;
             j.deferUntil = now + backoff;
             next = std::min(next, j.deferUntil);
-            obs::note(sink_, obs::EventKind::JobDefer, now, kNoCore, q, backoff);
+            obs::note(sink_, obs::EventKind::JobDefer, now, kNoCore, q,
+                      backoff);
             break;
           }
           case traffic::AdmissionDecision::Shed:
@@ -167,7 +169,7 @@ FrontEnd::admit(Cycle now)
             --ready_;
             ++shed_total_;
             obs::note(sink_, obs::EventKind::JobShed, now, kNoCore, q,
-                 (std::uint64_t{m.tenant} << 32) | j.defers);
+                      (std::uint64_t{m.tenant} << 32) | j.defers);
             releaseSuccessor(q, now);
             break;
         }
@@ -227,11 +229,13 @@ FrontEnd::updateOverload(Cycle now)
             return;
         overloaded_ = true;
         ++overload_enters_;
-        obs::note(sink_, obs::EventKind::OverloadEnter, now, kNoCore, ready_, p95);
+        obs::note(sink_, obs::EventKind::OverloadEnter, now, kNoCore,
+                  ready_, p95);
     } else if (ready_ <= cfg_.numCores &&
                (mean_ema_ == 0 || p95 <= 2 * mean_ema_)) {
         overloaded_ = false;
-        obs::note(sink_, obs::EventKind::OverloadExit, now, kNoCore, ready_, p95);
+        obs::note(sink_, obs::EventKind::OverloadExit, now, kNoCore,
+                  ready_, p95);
     }
 }
 
@@ -239,11 +243,11 @@ void
 FrontEnd::started(CoreId c, Cycle now)
 {
     const std::size_t q = pending_wl_[c];
-    if (queue_.hasTraffic)
+    if (traffic_)
         core_job_[c] = q;
     if (sink_ && sink_->wants(obs::EventKind::BatchDispatch))
         obs::note(sink_, obs::EventKind::BatchDispatch, now, c,
-             sink_->internString(queue_.entries[q].workload), q);
+                  sink_->internString(queue_.entries[q].workload), q);
     dispatch_at_[c] = kCycleNever;
 }
 
@@ -261,7 +265,8 @@ FrontEnd::complete(CoreId c, Cycle now)
     const traffic::Arrival &m = queue_.entries[q];
     if (m.sloBudget != kCycleNever && lat > m.sloBudget) {
         ++slo_violations_;
-        obs::note(sink_, obs::EventKind::SloViolation, now, c, q, lat - m.sloBudget);
+        obs::note(sink_, obs::EventKind::SloViolation, now, c, q,
+                  lat - m.sloBudget);
     }
     releaseSuccessor(q, now);
     if (!admission_)
@@ -290,7 +295,7 @@ FrontEnd::select(Cycle now, CoreId c, const Score &score) const
     const unsigned here = cfg_.clusterOf(c);
     auto isHome = [&](std::size_t q) { return q % ncl == here; };
     bool home_only = false;
-    if (ncl > 1 && !queue_.hasTraffic)
+    if (ncl > 1 && !traffic_)
         for (std::size_t q = 0; q < jobs_.size() && !home_only; ++q)
             home_only = available(jobs_[q]) && isHome(q);
     std::vector<traffic::PendingJob> pending;
@@ -341,11 +346,11 @@ FrontEnd::place(Cycle now, CoreId c, const Score &score)
         if (home != here) {
             dispatch_at_[c] += cfg_.clusterMigrationCycles;
             arbiter_->noteMigration(home, here);
-            obs::note(sink_, obs::EventKind::ClusterArbiterMigrate, now, c, q,
-                 (std::uint64_t{home} << 32) | here);
+            obs::note(sink_, obs::EventKind::ClusterArbiterMigrate, now, c,
+                      q, (std::uint64_t{home} << 32) | here);
         }
     }
-    if (!queue_.hasTraffic)
+    if (!traffic_)
         return;
     j.admitAt = now;
     obs::note(sink_, obs::EventKind::JobAdmit, now, c, q, now - j.arrive);
@@ -361,7 +366,7 @@ std::vector<traffic::JobRecord>
 FrontEnd::records() const
 {
     std::vector<traffic::JobRecord> out;
-    if (!queue_.hasTraffic)
+    if (!traffic_)
         return out;
     out.resize(jobs_.size());
     for (std::size_t q = 0; q < jobs_.size(); ++q) {
@@ -383,7 +388,7 @@ FrontEnd::addStats(stats::Group &run) const
     auto add = [&run](const char *name, double v, const char *desc) {
         run.addFormula(name, [v] { return v; }, desc);
     };
-    if (!queue_.hasTraffic)
+    if (!traffic_)
         return;
     const auto done = std::count_if(jobs_.begin(), jobs_.end(),
                                     [](const Job &j) {
@@ -408,13 +413,13 @@ FrontEnd::addStats(stats::Group &run) const
 void
 FrontEnd::inspect(std::ostream &os) const
 {
-    if (queue_.hasTraffic)
+    if (traffic_)
         os << "traffic_dispatcher " << dispatcher_->key() << '\n'
            << "traffic_unarrived " << unarrived_ << '\n'
            << "slo_violations " << slo_violations_ << '\n';
     if (admission_)
         os << "admission " << admission_->key() << '\n'
-           << "admission_cap " << queue_.admissionCap << '\n'
+           << "admission_cap " << cap_ << '\n'
            << "admission_ready " << ready_ << '\n'
            << "overloaded " << (overloaded_ ? 1 : 0) << '\n'
            << "jobs_shed " << shed_total_ << '\n'
@@ -452,7 +457,7 @@ template <class Ar>
 [[gnu::cold]] void
 FrontEnd::ioJobs(Ar &ar)
 {
-    if (queue_.hasTraffic) {
+    if (traffic_) {
         ar.section("traffic");
         ar.len(jobs_.size(), "checkpoint traffic queue length mismatch");
         for (Job &j : jobs_) {

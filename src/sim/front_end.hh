@@ -22,7 +22,6 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "isa/inst.hh"
-#include "kir/kir.hh"
 #include "obs/sink.hh"
 #include "traffic/admission.hh"
 #include "traffic/metrics.hh"
@@ -133,7 +132,7 @@ class FrontEnd
                    : kCycleNever;
     }
 
-    bool hasTraffic() const { return queue_.hasTraffic; }
+    bool hasTraffic() const { return traffic_; }
     bool admitting() const { return admission_ != nullptr; }
     /** Always false without an admission policy. */
     bool overloaded() const { return overloaded_; }
@@ -206,13 +205,17 @@ class FrontEnd
     Cycle delayP95() const;
     void updateOverload(Cycle now);
 
+    // Configuration, fixed at boot: later System setter calls apply
+    // to the next boot only.
     const JobQueue &queue_;
     const MachineConfig &cfg_;
     obs::EventSink *sink_;
     ClusterArbiter *arbiter_;
+    const bool traffic_;
     const traffic::Dispatcher *dispatcher_;
     /** Null unless the run has traffic and a policy is installed. */
     const traffic::AdmissionPolicy *admission_;
+    const unsigned cap_;        ///< Admission knob.
 
     std::vector<Job> jobs_;
     std::size_t undispatched_ = 0;

@@ -529,17 +529,10 @@ System::advance(Cycle stop_at)
                 x.arbiter->rebalance(now, bytes);
             for (unsigned k = 0; k < x.ncl; ++k)
                 x.engines[k]->mem().setDramBytesPerCycle(sh[k]);
-            if (opt.sink &&
-                opt.sink->wants(obs::EventKind::ClusterArbiterPlan)) {
-                obs::Event ev;
-                ev.cycle = now;
-                ev.kind = obs::EventKind::ClusterArbiterPlan;
-                ev.a = x.arbiter->rebalances();
-                ev.b = x.ncl;
-                ev.x = *std::min_element(sh.begin(), sh.end());
-                ev.y = *std::max_element(sh.begin(), sh.end());
-                opt.sink->record(ev);
-            }
+            obs::note(opt.sink, obs::EventKind::ClusterArbiterPlan, now,
+                      kNoCore, x.arbiter->rebalances(), x.ncl,
+                      *std::min_element(sh.begin(), sh.end()),
+                      *std::max_element(sh.begin(), sh.end()));
         }
 
         // --- Parallel phase: tick every cluster engine (coproc, its
